@@ -27,11 +27,11 @@ type WindowerState struct {
 func (w *Windower) State() WindowerState {
 	st := WindowerState{
 		Filled: w.filled,
-		Window: append([]float64(nil), w.window.Data...),
-		Filter: make([][]float64, len(w.pre)),
+		Window: append([]float64(nil), w.view.Data...),
+		Filter: make([][]float64, w.view.Cols),
 	}
-	for ch, p := range w.pre {
-		st.Filter[ch] = p.State()
+	for ch := range st.Filter {
+		st.Filter[ch] = w.bank.ChannelState(ch)
 	}
 	return st
 }
@@ -40,22 +40,24 @@ func (w *Windower) State() WindowerState {
 // same construction parameters. It rejects snapshots whose dimensions do not
 // match the receiver — a mismatched window length, channel count or filter
 // order means the checkpoint was taken from a differently configured session.
+// A channel whose filter state holds a NaN or ±Inf restarts from zero state
+// rather than staying poisoned for the session's lifetime.
 func (w *Windower) SetState(st WindowerState) error {
-	if st.Filled < 0 || st.Filled > w.window.Rows {
-		return fmt.Errorf("control: windower state filled=%d, window holds %d rows", st.Filled, w.window.Rows)
+	if st.Filled < 0 || st.Filled > w.view.Rows {
+		return fmt.Errorf("control: windower state filled=%d, window holds %d rows", st.Filled, w.view.Rows)
 	}
-	if len(st.Window) != len(w.window.Data) {
-		return fmt.Errorf("control: windower state has %d window values, want %d", len(st.Window), len(w.window.Data))
+	if len(st.Window) != len(w.view.Data) {
+		return fmt.Errorf("control: windower state has %d window values, want %d", len(st.Window), len(w.view.Data))
 	}
-	if len(st.Filter) != len(w.pre) {
-		return fmt.Errorf("control: windower state has %d filter channels, want %d", len(st.Filter), len(w.pre))
+	if len(st.Filter) != w.view.Cols {
+		return fmt.Errorf("control: windower state has %d filter channels, want %d", len(st.Filter), w.view.Cols)
 	}
-	for ch, p := range w.pre {
-		if err := p.SetState(st.Filter[ch]); err != nil {
+	for ch, f := range st.Filter {
+		if err := w.bank.SetChannelState(ch, f); err != nil {
 			return fmt.Errorf("control: channel %d: %w", ch, err)
 		}
 	}
-	copy(w.window.Data, st.Window)
+	copy(w.view.Data, st.Window)
 	w.filled = st.Filled
 	return nil
 }

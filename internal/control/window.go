@@ -2,6 +2,7 @@ package control
 
 import (
 	"fmt"
+	"math"
 
 	"cognitivearm/internal/dataset"
 	"cognitivearm/internal/eeg"
@@ -15,12 +16,25 @@ import (
 // fleet sessions of internal/serve can run the identical signal path without
 // carrying a Controller's actuator and latency accounting. A Windower is
 // single-session state and must not be shared across goroutines.
+//
+// The rolling window is a sliding view over a row buffer that holds
+// windowSlack(WindowSize) spare rows: a full window advances by moving the
+// view down one row, and only when the view reaches the end of the buffer
+// are its rows copied back to the start — once per slack cycle instead of
+// on every sample.
 type Windower struct {
-	pre    []*signal.EEGPreprocessor
+	bank   *signal.Bank
 	norm   dataset.Stats
-	window *tensor.Matrix
+	buf    []float64     // (WindowSize + slack) × Channels rows
+	view   tensor.Matrix // WindowSize × Channels view of buf at row off
+	off    int
 	filled int
 }
+
+// windowSlack is the number of spare buffer rows: a quarter window, so the
+// shift is amortised over many pushes while the buffer grows by only a
+// quarter.
+func windowSlack(windowSize int) int { return max(windowSize/4, 1) }
 
 // NewWindower builds the ingest stage for one session. norm holds the
 // subject's training normalisation constants, applied to live samples
@@ -30,43 +44,61 @@ func NewWindower(sampleRateHz float64, channels, windowSize int, norm dataset.St
 	if channels < 1 || windowSize < 1 {
 		return nil, fmt.Errorf("control: windower needs positive channels (%d) and window (%d)", channels, windowSize)
 	}
-	pre := make([]*signal.EEGPreprocessor, channels)
-	for i := range pre {
-		p, err := signal.NewEEGPreprocessor(sampleRateHz)
-		if err != nil {
-			return nil, fmt.Errorf("control: %w", err)
-		}
-		pre[i] = p
+	bank, err := signal.NewEEGBank(sampleRateHz, channels)
+	if err != nil {
+		return nil, fmt.Errorf("control: %w", err)
 	}
-	return &Windower{pre: pre, norm: norm, window: tensor.New(windowSize, channels)}, nil
+	w := &Windower{bank: bank, norm: norm, buf: make([]float64, (windowSize+windowSlack(windowSize))*channels)}
+	w.view = tensor.Matrix{Rows: windowSize, Cols: channels}
+	w.slide(0)
+	return w, nil
 }
 
-// Push filters one raw sample and appends it to the rolling window. Samples
-// with fewer values than the window's channel count are dropped (reported
-// false): network-fed sessions receive attacker-controlled channel counts on
-// the wire, and a short sample must not panic the serving shard.
+// slide points the window view at buffer row off.
+func (w *Windower) slide(off int) {
+	w.off = off
+	lo, hi := off*w.view.Cols, (off+w.view.Rows)*w.view.Cols
+	w.view.Data = w.buf[lo:hi:hi]
+}
+
+// Push filters one raw sample and appends it to the rolling window. A
+// sample is dropped (reported false) when it has fewer values than the
+// window's channel count or when any of the values it contributes is NaN or
+// ±Inf: network-fed sessions receive attacker-controlled samples on the
+// wire, a short sample must not panic the serving shard, and a non-finite
+// value would poison the channel's IIR delay line for good. A dropped
+// sample leaves the window and the filter state untouched.
 //
 //cogarm:zeroalloc
 func (w *Windower) Push(values []float64) bool {
-	if len(values) < w.window.Cols {
+	ch := w.view.Cols
+	if len(values) < ch {
 		return false
 	}
-	// Shift up (cheap for the window sizes in play; avoids reindexing).
-	if w.filled == w.window.Rows {
-		copy(w.window.Data, w.window.Data[w.window.Cols:])
+	values = values[:ch]
+	for _, v := range values {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	if w.filled == w.view.Rows {
+		if (w.off+w.view.Rows+1)*ch > len(w.buf) {
+			// Out of slack: move the newest Rows−1 rows to the start.
+			copy(w.buf, w.buf[(w.off+1)*ch:(w.off+w.view.Rows)*ch])
+			w.slide(0)
+		} else {
+			w.slide(w.off + 1)
+		}
 		w.filled--
 	}
-	row := w.window.Row(w.filled)
-	for ch := range row {
-		v := values[ch]
-		v = w.pre[ch].Process(v)
-		if ch < len(w.norm.Mean) {
-			// StdFor guards the divisor: a Stats with len(Std) < len(Mean)
-			// or a flat training channel (zero std) must neither panic the
-			// serving shard nor feed ±Inf/NaN to every classifier downstream.
-			v = (v - w.norm.Mean[ch]) / w.norm.StdFor(ch)
-		}
-		row[ch] = v
+	row := w.view.Row(w.filled)
+	copy(row, values)
+	w.bank.ProcessRow(row)
+	for c, v := range row[:min(len(w.norm.Mean), len(row))] {
+		// StdFor guards the divisor: a Stats with len(Std) < len(Mean)
+		// or a flat training channel (zero std) must neither panic the
+		// serving shard nor feed ±Inf/NaN to every classifier downstream.
+		row[c] = (v - w.norm.Mean[c]) / w.norm.StdFor(c)
 	}
 	w.filled++
 	return true
@@ -75,32 +107,33 @@ func (w *Windower) Push(values []float64) bool {
 // Ready reports whether enough samples have accumulated to classify.
 //
 //cogarm:zeroalloc
-func (w *Windower) Ready() bool { return w.filled == w.window.Rows }
+func (w *Windower) Ready() bool { return w.filled == w.view.Rows }
 
-// Window exposes the rolling buffer for classification without copying. The
-// matrix is owned by the Windower and overwritten by subsequent Push calls;
-// classify before pushing more samples, or use WindowInto for a stable copy.
-// The serving shard reads it zero-copy: within one tick, every ready window
-// is classified before any session receives further pushes, so the aliasing
-// is safe (see ARCHITECTURE.md "Memory model").
+// Window exposes the rolling window for classification without copying: a
+// view over the Windower's row buffer, valid until the next Push, which may
+// move the view or overwrite its rows. Classify before pushing more
+// samples, or use WindowInto for a stable copy. The serving shard reads it
+// zero-copy: within one tick, every ready window is classified before any
+// session receives further pushes, so the aliasing is safe (see
+// ARCHITECTURE.md "Memory model").
 //
 //cogarm:zeroalloc
-func (w *Windower) Window() *tensor.Matrix { return w.window }
+func (w *Windower) Window() *tensor.Matrix { return &w.view }
 
-// WindowInto copies the rolling buffer into dst and returns it, allocating
+// WindowInto copies the rolling window into dst and returns it, allocating
 // only when dst is nil or mis-shaped. Callers that must hold a window across
 // subsequent Push calls (deferred classification, cross-tick buffering) use
 // this with a reused dst instead of cloning Window() every tick.
 func (w *Windower) WindowInto(dst *tensor.Matrix) *tensor.Matrix {
-	if dst == nil || dst.Rows != w.window.Rows || dst.Cols != w.window.Cols {
-		dst = tensor.New(w.window.Rows, w.window.Cols)
+	if dst == nil || dst.Rows != w.view.Rows || dst.Cols != w.view.Cols {
+		dst = tensor.New(w.view.Rows, w.view.Cols)
 	}
-	copy(dst.Data, w.window.Data)
+	copy(dst.Data, w.view.Data)
 	return dst
 }
 
 // Size returns the window length in samples.
-func (w *Windower) Size() int { return w.window.Rows }
+func (w *Windower) Size() int { return w.view.Rows }
 
 // Debouncer is the actuation debounce shared by the single-subject
 // Controller and the serving fleet's sessions: a label only counts as agreed

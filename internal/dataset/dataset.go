@@ -377,38 +377,55 @@ func FeatureVector(w Window) []float64 {
 // allocation-free call on the serving hot path. The result is identical to
 // FeatureVector.
 //
+// The window is read row by row, the way it lies in memory, with one set of
+// accumulators per channel (in blocks of featureBlock channels, held on the
+// stack). Each channel still sums its samples in ascending time and keeps
+// min/max with the same comparisons, so the features are bitwise-identical
+// to a channel-by-channel pass.
+//
 //cogarm:zeroalloc
 func FeatureVectorInto(dst []float64, w Window) []float64 {
-	nch := w.Data.Cols
+	nch, rows := w.Data.Cols, w.Data.Rows
 	out := dst[:0]
 	if cap(out) < 5*nch {
 		//cogarm:allow zeroalloc -- feature-buffer warm-up when dst lacks capacity; steady state reuses it
 		out = make([]float64, 0, 5*nch)
 	}
-	for c := 0; c < nch; c++ {
-		var sum, sq float64
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for t := 0; t < w.Data.Rows; t++ {
-			v := w.Data.At(t, c)
-			sum += v
-			sq += v * v
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
+	n := float64(rows)
+	for c0 := 0; c0 < nch; c0 += featureBlock {
+		width := min(featureBlock, nch-c0)
+		var sum, sq, lo, hi [featureBlock]float64
+		for c := range width {
+			lo[c], hi[c] = math.Inf(1), math.Inf(-1)
+		}
+		for t := range rows {
+			row := w.Data.Data[t*nch+c0 : t*nch+c0+width]
+			for c, v := range row {
+				sum[c] += v
+				sq[c] += v * v
+				if v < lo[c] {
+					lo[c] = v
+				}
+				if v > hi[c] {
+					hi[c] = v
+				}
 			}
 		}
-		n := float64(w.Data.Rows)
-		mean := sum / n
-		variance := sq/n - mean*mean
-		if variance < 0 {
-			variance = 0
+		for c := range width {
+			mean := sum[c] / n
+			variance := sq[c]/n - mean*mean
+			if variance < 0 {
+				variance = 0
+			}
+			out = append(out, mean, math.Sqrt(variance), lo[c], hi[c], variance)
 		}
-		out = append(out, mean, math.Sqrt(variance), lo, hi, variance)
 	}
 	return out
 }
+
+// featureBlock is how many channels FeatureVectorInto accumulates per pass
+// over the window: the paper's 16-channel headset in one pass.
+const featureBlock = 16
 
 // Build runs the full pipeline for a set of subjects: collect sessions,
 // preprocess, segment, normalise per subject, and balance. It returns windows

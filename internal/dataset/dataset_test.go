@@ -264,3 +264,95 @@ func TestBuildPipeline(t *testing.T) {
 		}
 	}
 }
+
+// featureVectorColumnMajor is FeatureVectorInto as first written, walking
+// the window one channel column at a time; kept as the reference the
+// row-major pass must match bit for bit.
+func featureVectorColumnMajor(w Window) []float64 {
+	nch := w.Data.Cols
+	out := make([]float64, 0, 5*nch)
+	for c := 0; c < nch; c++ {
+		var sum, sq float64
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for t := 0; t < w.Data.Rows; t++ {
+			v := w.Data.At(t, c)
+			sum += v
+			sq += v * v
+			if v < lo {
+				lo = v
+			}
+			if v > hi {
+				hi = v
+			}
+		}
+		n := float64(w.Data.Rows)
+		mean := sum / n
+		variance := sq/n - mean*mean
+		if variance < 0 {
+			variance = 0
+		}
+		out = append(out, mean, math.Sqrt(variance), lo, hi, variance)
+	}
+	return out
+}
+
+// TestFeatureVectorMatchesColumnMajor compares the row-major pass with the
+// column-major reference under math.Float64bits, on channel counts below,
+// at and above one accumulator block, with ±Inf, −0, NaN and constant
+// channels mixed into random data.
+func TestFeatureVectorMatchesColumnMajor(t *testing.T) {
+	rng := tensor.NewRNG(21)
+	negZero := math.Copysign(0, -1)
+	for _, shape := range [][2]int{{1, 1}, {7, 3}, {100, 16}, {33, 17}, {50, 40}} {
+		rows, cols := shape[0], shape[1]
+		m := tensor.New(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = 1e3 * rng.NormFloat64()
+		}
+		for r := range rows {
+			m.Set(r, 0, 4.25) // constant channel
+			if cols > 2 {
+				m.Set(r, cols-1, negZero) // all −0: min/max must keep the sign
+			}
+		}
+		if cols > 4 && rows > 3 {
+			m.Set(rows/2, 1, math.Inf(1))
+			m.Set(rows/3, 1, math.Inf(-1))
+			for r := range rows { // max and min are zeros of both signs
+				m.Set(r, 2, -math.Abs(m.At(r, 2)))
+				m.Set(r, 3, math.Abs(m.At(r, 3)))
+			}
+			m.Set(1, 2, 0)
+			m.Set(2, 2, negZero)
+			m.Set(1, 3, negZero)
+			m.Set(2, 3, 0)
+		}
+		if cols > 16 {
+			m.Set(0, 16, math.NaN())
+		}
+		w := Window{Data: m}
+		got, want := FeatureVectorInto(make([]float64, 0, 5*cols), w), featureVectorColumnMajor(w)
+		if len(got) != len(want) {
+			t.Fatalf("%dx%d: %d features, want %d", rows, cols, len(got), len(want))
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%dx%d: feature %d = %v, column-major reference %v", rows, cols, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func BenchmarkFeatureVectorInto(b *testing.B) {
+	rng := tensor.NewRNG(1)
+	m := tensor.New(100, 16)
+	for i := range m.Data {
+		m.Data[i] = rng.NormFloat64()
+	}
+	w, dst := Window{Data: m}, make([]float64, 0, 5*16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		dst = FeatureVectorInto(dst, w)
+	}
+}

@@ -320,8 +320,9 @@ func (c *RFClassifier) WindowSize() int { return c.Spec.WindowSize }
 func (c *RFClassifier) Name() string { return c.Spec.ID() }
 
 // PredictBatch implements BatchPredictor: features are extracted per window,
-// then the forest routes the whole batch tree-major (see rf.ProbsBatch) so
-// each tree's nodes are walked while still cache-hot.
+// then the forest routes the whole batch tree-major (see
+// rf.Forest.ProbsBatchWS) so each tree's nodes are walked while still
+// cache-hot.
 func (c *RFClassifier) PredictBatch(xs []*tensor.Matrix) []int {
 	return c.PredictBatchWS(nil, xs, nil)
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -213,5 +214,47 @@ func TestServeTelemetryExposed(t *testing.T) {
 		if strings.HasSuffix(line, " 0") {
 			t.Fatalf("series %q is zero after serving: %s", series, line)
 		}
+	}
+}
+
+// queueSource hands the shard queued samples, up to the drain size.
+type queueSource struct{ q []stream.Sample }
+
+func (s *queueSource) Read(max int) []stream.Sample {
+	n := min(max, len(s.q))
+	out := s.q[:n]
+	s.q = s.q[n:]
+	return out
+}
+
+// TestRejectedSamplesCounted feeds a session a short sample on one tick and
+// a NaN sample on the next: each is refused by the signal path, and each
+// moves cogarm_serve_samples_rejected_total by one.
+func TestRejectedSamplesCounted(t *testing.T) {
+	hub, err := NewHub(Config{Shards: 1, MaxSessionsPerShard: 1, TickHz: 125}, stubRegistry(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &queueSource{}
+	if _, err := hub.Admit(SessionConfig{ModelKey: "stub", Source: src, Channels: 3, SampleRateHz: 125}); err != nil {
+		t.Fatal(err)
+	}
+	rejected := hub.tel.rejected
+	for _, bad := range [][]float64{{1, 2}, {1, math.NaN(), 3}} {
+		before := rejected.Value()
+		src.q = append(src.q, stream.Sample{Values: bad})
+		hub.TickAll()
+		if len(src.q) != 0 {
+			t.Fatal("sample not drained")
+		}
+		if got := rejected.Value() - before; got != 1 {
+			t.Fatalf("sample %v moved the rejected counter by %d, want 1", bad, got)
+		}
+	}
+	before := rejected.Value()
+	src.q = append(src.q, stream.Sample{Values: []float64{1, 2, 3}})
+	hub.TickAll()
+	if got := rejected.Value() - before; got != 0 {
+		t.Fatalf("a clean sample moved the rejected counter by %d", got)
 	}
 }

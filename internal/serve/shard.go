@@ -317,7 +317,7 @@ func (s *shard) tick() {
 	ar := &s.arena
 
 	// Ingest phase: windows become ready independently per session.
-	var samplesIn uint64
+	var samplesIn, rejected uint64
 	for id, sess := range s.sessions {
 		n := sess.due(s.cfg.TickHz)
 		if tel != nil {
@@ -351,7 +351,9 @@ func (s *shard) tick() {
 		sess.ver++ // signal-path state advances: session is checkpoint-dirty
 		samplesIn += uint64(len(samples))
 		for _, smp := range samples {
-			sess.win.Push(smp.Values)
+			if !sess.win.Push(smp.Values) {
+				rejected++
+			}
 		}
 		if sess.win.Ready() {
 			ar.readySess = append(ar.readySess, sess)
@@ -407,6 +409,7 @@ func (s *shard) tick() {
 	if tel != nil {
 		tel.ticks.Inc()
 		tel.samples.Add(samplesIn)
+		tel.rejected.Add(rejected)
 		tel.tick.ObserveDuration(time.Since(start).Nanoseconds())
 		tel.stageDrain.ObserveDuration(drainNs)
 		tel.stageWindow.ObserveDuration(windowNs)
