@@ -61,10 +61,8 @@ type serveModelBench struct {
 }
 
 type serveCkptBench struct {
-	FullMs           float64 `json:"full_ms"`
-	FullBytes        int64   `json:"full_bytes"`
-	IncrementalMs    float64 `json:"incremental_ms"`
-	IncrementalBytes int64   `json:"incremental_bytes"`
+	FullMs    float64 `json:"full_ms"`
+	FullBytes int64   `json:"full_bytes"`
 }
 
 // serveWalBench is the journal column: the amortized per-tick cost of
@@ -87,7 +85,7 @@ const (
 
 // runServeBench builds a 100-session fleet per decoder family, measures the
 // steady-state tick loop on the serial, parallel, and quantized paths, times
-// a full and an incremental checkpoint, and writes the report to outPath.
+// a checkpoint, and writes the report to outPath.
 func runServeBench(outPath string) {
 	cfg := core.DefaultConfig()
 	cfg.SubjectIDs = []int{0}
@@ -147,7 +145,7 @@ func runServeBench(outPath string) {
 	}
 	for _, key := range []string{"rf", "cnn"} {
 		hubBare, _ := buildServeBenchHub(reg, pipe, key, true, 1)
-		hubOn, boards := buildServeBenchHub(reg, pipe, key, false, 1)
+		hubOn, _ := buildServeBenchHub(reg, pipe, key, false, 1)
 		usOn, usBare, allocs, meanBatch := measureInterleaved(hubOn, hubBare)
 		hubBare.Stop()
 
@@ -189,22 +187,6 @@ func runServeBench(outPath string) {
 			}
 			report.Ckpt.FullMs = float64(time.Since(start).Microseconds()) / 1e3
 			report.Ckpt.FullBytes = dirBytes(fullDir)
-			// The incremental measure mirrors the churn-proportional claim:
-			// 90 of 100 subjects go quiet, 10 keep streaming, so only 10
-			// session records are rewritten.
-			for _, b := range boards[10:] {
-				b.Stop()
-			}
-			for i := 0; i < 5; i++ {
-				hubOn.TickAll()
-			}
-			start = time.Now()
-			incDir, err := hubOn.Checkpoint(root)
-			if err != nil {
-				log.Fatal(err)
-			}
-			report.Ckpt.IncrementalMs = float64(time.Since(start).Microseconds()) / 1e3
-			report.Ckpt.IncrementalBytes = dirBytes(incDir)
 			os.RemoveAll(root)
 		}
 		hubOn.Stop()
@@ -228,8 +210,7 @@ func runServeBench(outPath string) {
 			mb.KernelThreads, mb.UsPerInferenceParallel, mb.UsPerInferenceQuantized,
 			mb.AllocsPerTick, mb.MeanBatch)
 	}
-	fmt.Printf("checkpoint: full %.1f ms / %d B, incremental %.1f ms / %d B\n",
-		report.Ckpt.FullMs, report.Ckpt.FullBytes, report.Ckpt.IncrementalMs, report.Ckpt.IncrementalBytes)
+	fmt.Printf("checkpoint: %.1f ms / %d B\n", report.Ckpt.FullMs, report.Ckpt.FullBytes)
 	fmt.Printf("wal append: %.1f µs/tick, %.0f B/tick (flush per %d ticks, NoSync)\n",
 		report.Wal.AppendUsPerTick, report.Wal.BytesPerTick, serveBenchChunk)
 	fmt.Printf("wrote %s\n\n", outPath)

@@ -319,3 +319,26 @@ func truncateLastRecord(t *testing.T, path string) {
 		t.Fatal(err)
 	}
 }
+
+// TestLatestManifestSkipsDamaged: LatestManifest must fall back past a
+// checkpoint whose manifest is unreadable, mirroring LoadLatest.
+func TestLatestManifestSkipsDamaged(t *testing.T) {
+	root := t.TempDir()
+	if _, err := Save(root, testState(t)); err != nil {
+		t.Fatal(err)
+	}
+	dir2, err := Save(root, testState(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(filepath.Join(dir2, manifestFile), 3); err != nil {
+		t.Fatal(err)
+	}
+	man, err := LatestManifest(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.Seq != 1 {
+		t.Fatalf("LatestManifest picked seq %d, want fallback to 1", man.Seq)
+	}
+}

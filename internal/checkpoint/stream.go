@@ -35,19 +35,10 @@ func WriteStream(w io.Writer, state *FleetState) error {
 	if state == nil {
 		return fmt.Errorf("checkpoint: nil state")
 	}
-	if len(state.ModelRefs) > 0 {
-		// Streams have no sibling directories to resolve references against.
-		return fmt.Errorf("checkpoint: stream requires a self-contained state (has %d model refs)", len(state.ModelRefs))
-	}
 	man := state.Manifest
 	man.Sessions = len(state.Sessions)
 	man.Models = nil
-	// A stream is always self-contained: drop any incremental bookkeeping a
-	// directory-oriented capture may carry.
-	man.Refs = nil
-	man.Format = 0
-	man.Base = 0
-	man.Increments = 0
+	man.Refs = nil // the records streamed below are the fleet
 
 	keys := make([]string, 0, len(state.Models))
 	for k := range state.Models {

@@ -12,9 +12,9 @@ import (
 	"cognitivearm/internal/wal"
 )
 
-// The replication tail: a long-lived stream of incremental checkpoint batches
-// over one connection, built from the same dirty-record capture the v2
-// checkpoint path computes every interval. Where KindStream frames exactly
+// The replication tail: a long-lived stream of delta batches over one
+// connection, built from the same dirty-record capture the WAL journal
+// flushes every interval. Where KindStream frames exactly
 // one self-contained FleetState, a KindReplica stream frames an unbounded
 // sequence of deltas:
 //
@@ -38,7 +38,7 @@ import (
 // mismatch, and both ends expose the root, so a diverged follower is caught
 // at apply time — promotion never has to trust an unverified stream.
 
-// TailWriter ships incremental FleetState batches onto one stream. It is the
+// TailWriter ships delta FleetState batches onto one stream. It is the
 // sender half of warm-standby replication: construct one per connection,
 // call WriteBatch with each dirty-only capture (serve.Hub.CaptureDelta), and
 // discard the writer with the connection — per-connection epochs make a
@@ -59,9 +59,8 @@ func NewTailWriter(w io.Writer) (*TailWriter, error) {
 }
 
 // WriteBatch frames one replication batch from state: its Sessions are the
-// dirty records for this interval, its Manifest.Refs the full live view. The
-// state must be self-contained (no ModelRefs); models already shipped on
-// this writer are deduplicated away. Returns the model and session record
+// dirty records for this interval, its Manifest.Refs the full live view.
+// Models already shipped on this writer are deduplicated away. Returns the model and session record
 // counts actually written plus the batch's Merkle root (also framed onto the
 // wire as the closing seal record). A batch is all-or-nothing on the wire
 // only in the sense that any error leaves the stream unusable — abandon the
@@ -70,17 +69,11 @@ func (tw *TailWriter) WriteBatch(state *FleetState) (modelsSent, sessionsSent in
 	if state == nil {
 		return 0, 0, root, fmt.Errorf("checkpoint: nil state")
 	}
-	if len(state.ModelRefs) > 0 {
-		return 0, 0, root, fmt.Errorf("checkpoint: tail requires a self-contained state (has %d model refs)", len(state.ModelRefs))
-	}
 	man := state.Manifest
 	tw.epoch++
 	man.Seq = tw.epoch
 	man.Sessions = len(state.Sessions)
 	man.Models = nil
-	man.Format = 0
-	man.Base = 0
-	man.Increments = 0
 	// man.Refs rides along as-is: the receiver's pruning and volatile
 	// overlay depend on the full live view every batch.
 

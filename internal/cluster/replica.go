@@ -14,8 +14,8 @@ import (
 )
 
 // Warm-standby replication. The sender half (Node.ReplicateOnce) captures
-// the hub's dirty-session delta — the same records an incremental checkpoint
-// writes — and tails it to this node's ring successors over long-lived
+// the hub's dirty-session delta — the same records the WAL journal flushes —
+// and tails it to this node's ring successors over long-lived
 // verbReplicate connections, one checkpoint.TailWriter per standby. The
 // receiver half (Node.handleReplicate) folds each batch into a replicaStore:
 // an in-memory, always-promotable image of the primary's sessions, at most
@@ -106,30 +106,11 @@ func (s *replicaStore) apply(src string, batch *checkpoint.FleetState, now time.
 		rec := batch.Sessions[i]
 		rs.sessions[rec.ID] = rec
 	}
-	// The manifest's Refs are the primary's complete live view: prune
-	// departures, overlay the volatile scheduler fields onto clean records,
-	// and verify every ref resolves to a record at the right version — a
-	// mismatch means this tail missed state and must resync.
-	keep := make(map[uint64]checkpoint.SessionRef, len(batch.Manifest.Refs))
-	for _, ref := range batch.Manifest.Refs {
-		keep[ref.ID] = ref
-	}
-	for id := range rs.sessions {
-		if _, live := keep[id]; !live {
-			delete(rs.sessions, id)
-		}
-	}
-	for id, ref := range keep {
-		rec, ok := rs.sessions[id]
-		if !ok {
-			return 0, fmt.Errorf("cluster: replica of %s out of sync: no record for live session %d", src, id)
-		}
-		if rec.Ver != ref.Ver {
-			return 0, fmt.Errorf("cluster: replica of %s out of sync: session %d at ver %d, primary at %d", src, id, rec.Ver, ref.Ver)
-		}
-		rec.SampleAcc = ref.SampleAcc
-		rec.IdleTicks = ref.IdleTicks
-		rs.sessions[id] = rec
+	// The manifest's Refs are the primary's complete live view; a ref that
+	// does not resolve at its version means this tail missed state and must
+	// resync.
+	if err := checkpoint.FoldRefs(rs.sessions, batch.Manifest.Refs); err != nil {
+		return 0, fmt.Errorf("cluster: replica of %s out of sync: %v", src, err)
 	}
 	rs.batches++
 	rs.lastAt = now

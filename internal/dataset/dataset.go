@@ -45,12 +45,9 @@ type Protocol struct {
 	Order []eeg.Action
 }
 
-// PaperProtocol returns the collection structure from §III-B1.
-func PaperProtocol() Protocol {
-	return Protocol{TaskSec: 10, RestSec: 10, TotalSec: 300, Order: []eeg.Action{eeg.Left, eeg.Right}}
-}
-
-// ShortProtocol is a scaled-down variant for tests and quick experiments.
+// ShortProtocol is a scaled-down variant of the paper's §III-B1 collection
+// structure (10 s task / 10 s rest blocks over 300 s) for tests and quick
+// experiments.
 func ShortProtocol(totalSec float64) Protocol {
 	return Protocol{TaskSec: 4, RestSec: 4, TotalSec: totalSec, Order: []eeg.Action{eeg.Left, eeg.Right}}
 }

@@ -61,7 +61,7 @@ func TestEventTypeNames(t *testing.T) {
 		EvRefuseOverload:        "refuse_overload",
 		EvEvict:                 "evict",
 		EvCheckpointFull:        "checkpoint_full",
-		EvCheckpointIncremental: "checkpoint_incremental",
+		evCheckpointIncremental: "checkpoint_incremental",
 		EvCheckpointLoad:        "checkpoint_load",
 		EvMigrateIn:             "migrate_in",
 		EvMigrateOut:            "migrate_out",

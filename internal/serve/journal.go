@@ -16,13 +16,13 @@ import (
 )
 
 // The serve journal: the hub's write-ahead log. Between checkpoints, every
-// flush captures the dirty-session delta (the same sweep incremental
-// checkpoints and replication tails run), appends it to the WAL as one
-// Merkle-sealed batch, and drains the process event ring into the same batch
-// as the durable audit trail. Recovery is checkpoint base + WAL replay:
-// ReplayWAL folds every sealed entry past the checkpoint's WalSeq over the
-// loaded state, so a daemon killed between checkpoints loses at most one
-// flush interval instead of one checkpoint interval.
+// flush captures the dirty-session delta (the same sweep replication tails
+// run), appends it to the WAL as one Merkle-sealed batch, and drains the
+// process event ring into the same batch as the durable audit trail.
+// Recovery is checkpoint base + WAL replay: ReplayWAL folds every sealed
+// entry past the checkpoint's WalSeq over the loaded state, so a daemon
+// killed between checkpoints loses at most one flush interval instead of one
+// checkpoint interval.
 //
 // Layering: the journal lives in serve because it converts hub state to WAL
 // entries, exactly as persist.go converts hub state to checkpoint files.
@@ -213,7 +213,7 @@ func (j *Journal) Checkpoint(root string) (string, error) {
 	}
 	last := j.log.LastSealed()
 	//cogarm:allow nolockblock -- journal mutex exists to serialize flush/checkpoint I/O; no tick-path code takes it
-	dir, err := j.hub.CheckpointWithWal(root, last)
+	dir, err := j.hub.checkpointWithWal(root, last)
 	if err != nil {
 		return "", err
 	}
@@ -320,47 +320,27 @@ func ReplayWAL(dir string, base *checkpoint.FleetState) (*checkpoint.FleetState,
 		base.Models[key] = clf
 		base.ModelMACs[key] = wm.MACs
 	}
-	byID := make(map[uint64]*checkpoint.SessionRecord, len(base.Sessions)+len(recs))
-	for i := range base.Sessions {
-		byID[base.Sessions[i].ID] = &base.Sessions[i]
+	byID := make(map[uint64]checkpoint.SessionRecord, len(base.Sessions)+len(recs))
+	for _, rec := range base.Sessions {
+		byID[rec.ID] = rec
 	}
-	for id := range recs {
-		rec := recs[id]
-		byID[id] = &rec
+	for id, rec := range recs {
+		byID[id] = rec
 	}
 	if lastMan != nil {
-		// The final refs view is authoritative: prune departures, overlay the
-		// volatile scheduler fields, and insist every live ref resolves at
-		// exactly its journaled version — anything else means the WAL and the
-		// checkpoint disagree about history, which replay must not paper over.
-		keep := make(map[uint64]checkpoint.SessionRef, len(lastMan.Refs))
-		for _, ref := range lastMan.Refs {
-			keep[ref.ID] = ref
+		// The final refs view is authoritative. A live ref with no record at
+		// its journaled version means the WAL and the checkpoint disagree
+		// about history, which replay must not paper over.
+		if err := checkpoint.FoldRefs(byID, lastMan.Refs); err != nil {
+			return nil, 0, fmt.Errorf("%w: wal replay: %v", checkpoint.ErrCorrupt, err)
 		}
-		for id := range byID {
-			if _, live := keep[id]; !live {
-				delete(byID, id)
-			}
-		}
-		for id, ref := range keep {
-			rec, ok := byID[id]
-			if !ok {
-				return nil, 0, fmt.Errorf("%w: wal refs name live session %d with no record in checkpoint or wal", checkpoint.ErrCorrupt, id)
-			}
-			if rec.Ver != ref.Ver {
-				return nil, 0, fmt.Errorf("%w: wal session %d at ver %d, refs expect %d", checkpoint.ErrCorrupt, id, rec.Ver, ref.Ver)
-			}
-			rec.SampleAcc = ref.SampleAcc
-			rec.IdleTicks = ref.IdleTicks
-		}
-		base.Manifest.Refs = lastMan.Refs
 		if lastMan.NextID > base.Manifest.NextID {
 			base.Manifest.NextID = lastMan.NextID
 		}
 	}
 	out := make([]checkpoint.SessionRecord, 0, len(byID))
 	for _, rec := range byID {
-		out = append(out, *rec)
+		out = append(out, rec)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	base.Sessions = out

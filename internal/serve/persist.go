@@ -14,82 +14,72 @@ import (
 
 // Fleet checkpointing: Hub.Checkpoint snapshots the entire hub — registry
 // models, every session's signal-path state, shard assignment and metrics
-// baselines — into a checkpoint directory via internal/checkpoint, and
-// RestoreHub rebuilds a serving hub from one. The capture is copy-on-
-// snapshot: each shard's lock is held only long enough to deep-copy its
-// sessions' in-memory state (microseconds per shard, one shard at a time),
-// and all serialization and disk I/O happen afterwards on the caller's
-// goroutine, so paced tick loops never stall behind a checkpoint.
+// baselines — into one self-contained checkpoint directory via
+// internal/checkpoint, and RestoreHub rebuilds a serving hub from one. The
+// capture is copy-on-snapshot: each shard's lock is held only long enough to
+// deep-copy its sessions' in-memory state (microseconds per shard, one shard
+// at a time), and all serialization and disk I/O happen afterwards on the
+// caller's goroutine, so paced tick loops never stall behind a checkpoint.
+// Every checkpoint is a full snapshot; what changes between checkpoints is
+// the serve journal's job (journal.go), replayed on top from the manifest's
+// WalSeq fence.
 
 // Checkpoint atomically persists the hub's serving state as the next
 // checkpoint under root, returning the new checkpoint directory. It is
 // safe to call while the hub is serving (Start) or between TickAll calls; a
 // session's tick and its capture are serialized by the shard lock, so every
 // persisted session is at a tick boundary.
-//
-// Checkpoints are incremental by default: the previous checkpoint's manifest
-// is consulted, and only sessions whose signal path advanced since (and
-// models not yet on disk) are captured and written — unchanged sessions cost
-// one ~40-byte manifest reference, so checkpoint cost scales with churn, not
-// fleet size. Every checkpoint.DefaultCompactEvery increments (and whenever
-// no usable previous manifest exists) a full rewrite compacts the chain.
-// Incremental and full checkpoints restore bitwise-identically.
-//
-// Concurrent Checkpoint calls on one hub are serialized: Save ends with a
-// retention prune, and a prune racing another in-flight save can delete a
-// directory whose payloads the new incremental manifest still references.
-// The lock covers manifest read through prune, so each save sees — and
-// protects — its predecessor.
 func (h *Hub) Checkpoint(root string) (string, error) {
-	h.ckptMu.Lock()
-	defer h.ckptMu.Unlock()
-	//cogarm:allow nolockblock -- ckptMu exists to serialize checkpoint I/O; no tick-path code takes it
-	prev, err := checkpoint.LatestManifest(root)
-	if err != nil {
-		prev = nil // no (readable) previous checkpoint: write a full one
-	}
-	//cogarm:allow nolockblock -- ckptMu exists to serialize checkpoint I/O; no tick-path code takes it
-	return checkpoint.Save(root, h.captureState(prev))
+	return h.checkpointWithWal(root, 0)
 }
 
-// CheckpointWithWal is Checkpoint with the manifest fenced against a
+// checkpointWithWal is Checkpoint with the manifest fenced against a
 // write-ahead log: walSeq — the WAL's last sealed entry sequence as of this
 // capture — rides into Manifest.WalSeq, so a later recovery replays only the
-// WAL entries this checkpoint does not already contain. The serve Journal is
-// the intended caller; it flushes (seals) before capturing, keeping the fence
-// conservative: state journaled after walSeq is at least as new in the WAL
-// as in this checkpoint, and replay's latest-record fold makes reapplying it
-// harmless.
-func (h *Hub) CheckpointWithWal(root string, walSeq uint64) (string, error) {
+// WAL entries this checkpoint does not already contain. The serve Journal
+// flushes (seals) before calling it, keeping the fence conservative: state
+// journaled after walSeq is at least as new in the WAL as in this
+// checkpoint, and replay's latest-record fold makes reapplying it harmless.
+//
+// Concurrent calls on one hub are serialized from capture through publish,
+// so directory sequence order is capture order: the newest directory holds
+// the newest state, and WalSeq fences never go backwards across directories.
+func (h *Hub) checkpointWithWal(root string, walSeq uint64) (string, error) {
 	h.ckptMu.Lock()
 	defer h.ckptMu.Unlock()
-	//cogarm:allow nolockblock -- ckptMu exists to serialize checkpoint I/O; no tick-path code takes it
-	prev, err := checkpoint.LatestManifest(root)
-	if err != nil {
-		prev = nil // no (readable) previous checkpoint: write a full one
-	}
-	state := h.captureState(prev)
+	state := h.CaptureState()
 	state.Manifest.WalSeq = walSeq
 	//cogarm:allow nolockblock -- ckptMu exists to serialize checkpoint I/O; no tick-path code takes it
 	return checkpoint.Save(root, state)
 }
 
 // CaptureState snapshots the hub's complete state into a self-contained
-// checkpoint.FleetState without touching disk — the in-memory half of a full
-// Checkpoint, exposed for tests and for callers that ship state elsewhere
-// (streamed migration, a replication stream).
+// checkpoint.FleetState without touching disk — the in-memory half of
+// Checkpoint, also used to restore a hub with no disk in between. It is
+// CaptureDelta(nil) plus the shard counter baselines, taken in the same
+// sweep.
 func (h *Hub) CaptureState() *checkpoint.FleetState {
-	return h.captureState(nil)
+	return h.capture(nil, true)
 }
 
-// captureState snapshots the hub. With a nil prev manifest the capture is
-// full and self-contained; otherwise sessions and models unchanged since
-// prev become references into the directories that already hold them, and
-// only dirty state is deep-copied under the shard locks.
-func (h *Hub) captureState(prev *checkpoint.Manifest) *checkpoint.FleetState {
-	if prev != nil && (prev.Format < checkpoint.DirFormatV2 || prev.Increments+1 >= checkpoint.DefaultCompactEvery) {
-		prev = nil // pre-v2 base or chain at its bound: compact with a full rewrite
-	}
+// CaptureDelta snapshots the hub's dirty state since prev, for the WAL
+// journal and the replication tail. The returned state carries full records
+// only for sessions whose signal path advanced since prev (or that prev does
+// not know), the complete live view in Manifest.Refs (so the receiver prunes
+// departures and overlays the volatile scheduler fields), and every resolved
+// model in Models — the journal and checkpoint.TailWriter send each model
+// once, so resending the map costs nothing after the first batch. A nil
+// prev marks everything dirty: the full-resync first batch of a fresh
+// replication connection.
+//
+// Shard counter baselines deliberately stay home, exactly as in migration:
+// a promoted replica is a new serving fleet, not a metrics continuation.
+func (h *Hub) CaptureDelta(prev map[uint64]checkpoint.SessionRef) *checkpoint.FleetState {
+	return h.capture(prev, false)
+}
+
+// capture is the one shard sweep behind CaptureState and CaptureDelta.
+func (h *Hub) capture(prev map[uint64]checkpoint.SessionRef, counters bool) *checkpoint.FleetState {
 	h.mu.Lock()
 	state := &checkpoint.FleetState{
 		Manifest: checkpoint.Manifest{
@@ -101,21 +91,15 @@ func (h *Hub) captureState(prev *checkpoint.Manifest) *checkpoint.FleetState {
 				LatencyWindow:       h.cfg.LatencyWindow,
 			},
 			NextID: uint64(h.nextID),
-			Format: checkpoint.DirFormatV2,
 		},
 	}
 	shards := h.shards
 	h.mu.Unlock()
-
-	var prevRefs map[uint64]checkpoint.SessionRef
-	if prev != nil {
-		state.Manifest.Base = prev.Seq
-		state.Manifest.Increments = prev.Increments + 1
-		prevRefs = prev.RefIndex()
-	}
 	for _, s := range shards {
-		state.Manifest.Shards = append(state.Manifest.Shards, s.captureCounters())
-		recs, refs := s.captureSessions(prevRefs)
+		if counters {
+			state.Manifest.Shards = append(state.Manifest.Shards, s.captureCounters())
+		}
+		recs, refs := s.captureSessions(prev)
 		state.Sessions = append(state.Sessions, recs...)
 		state.Manifest.Refs = append(state.Manifest.Refs, refs...)
 	}
@@ -124,75 +108,16 @@ func (h *Hub) captureState(prev *checkpoint.Manifest) *checkpoint.FleetState {
 	// session references is guaranteed present here — the reverse order
 	// would let a concurrently admitted session reference a model missing
 	// from the snapshot, producing a checkpoint Load rejects whole.
-	clfs, macs := h.reg.Resolved()
-	if prev == nil {
-		state.Models, state.ModelMACs = clfs, macs
-		return state
-	}
-	// Registry models are immutable once resolved (train/deserialize-once),
-	// so any key the previous checkpoint indexed is referenced, not
-	// rewritten; only newly resolved models cost bytes.
-	prevModels := prev.ModelIndex()
-	state.Models = make(map[string]models.Classifier)
-	state.ModelMACs = make(map[string]int64)
-	for key, clf := range clfs {
-		if e, ok := prevModels[key]; ok {
-			state.ModelRefs = append(state.ModelRefs, checkpoint.ModelEntry{
-				Key: key, File: e.File, MACs: macs[key], Seq: e.Seq,
-			})
-			continue
-		}
-		state.Models[key] = clf
-		state.ModelMACs[key] = macs[key]
-	}
-	sort.Slice(state.ModelRefs, func(i, j int) bool { return state.ModelRefs[i].Key < state.ModelRefs[j].Key })
-	return state
-}
-
-// CaptureDelta snapshots the hub's dirty state since prev — the same
-// dirty-record sweep an incremental checkpoint performs, aimed at a
-// replication tail instead of a directory. The returned state carries full
-// records only for sessions whose signal path advanced since prev (or that
-// prev does not know), the complete live view in Manifest.Refs (so the
-// receiver prunes departures and overlays the volatile scheduler fields),
-// and every resolved model in Models — checkpoint.TailWriter deduplicates
-// models per connection, so resending the map costs nothing after the first
-// batch. A nil prev marks everything dirty: the full-resync first batch of a
-// fresh replication connection.
-//
-// Shard counter baselines deliberately stay home, exactly as in migration:
-// a promoted replica is a new serving fleet, not a metrics continuation.
-func (h *Hub) CaptureDelta(prev map[uint64]checkpoint.SessionRef) *checkpoint.FleetState {
-	h.mu.Lock()
-	state := &checkpoint.FleetState{
-		Manifest: checkpoint.Manifest{
-			Hub: checkpoint.HubConfig{
-				Shards:              h.cfg.Shards,
-				MaxSessionsPerShard: h.cfg.MaxSessionsPerShard,
-				TickHz:              h.cfg.TickHz,
-				MaxIdleTicks:        h.cfg.MaxIdleTicks,
-				LatencyWindow:       h.cfg.LatencyWindow,
-			},
-			NextID: uint64(h.nextID),
-		},
-	}
-	shards := h.shards
-	h.mu.Unlock()
-	for _, s := range shards {
-		recs, refs := s.captureSessions(prev)
-		state.Sessions = append(state.Sessions, recs...)
-		state.Manifest.Refs = append(state.Manifest.Refs, refs...)
-	}
 	state.Models, state.ModelMACs = h.reg.Resolved()
 	return state
 }
 
 // captureSessions sweeps the shard under its lock (the brief pause a running
-// tick loop sees), returning full records for dirty sessions — ver moved
-// since prevRefs, pending samples buffered, or no previous record at all —
-// and manifest references for clean ones. Both slices come back sorted by
-// session ID for deterministic checkpoint bytes. A nil prevRefs marks every
-// session dirty (full capture).
+// tick loop sees), returning a ref for every session and a full record for
+// each dirty one — ver moved since prevRefs, pending samples buffered, or no
+// previous record at all. Both slices come back sorted by session ID for
+// deterministic bytes. A nil prevRefs marks every session dirty (full
+// capture).
 func (s *shard) captureSessions(prevRefs map[uint64]checkpoint.SessionRef) ([]checkpoint.SessionRecord, []checkpoint.SessionRef) {
 	s.mu.Lock()
 	recs := make([]checkpoint.SessionRecord, 0, len(s.sessions))
@@ -204,17 +129,15 @@ func (s *shard) captureSessions(prevRefs map[uint64]checkpoint.SessionRef) ([]ch
 			SampleAcc: sess.sampleAcc,
 			IdleTicks: sess.idleTicks,
 		}
+		refs = append(refs, ref)
 		if pr, ok := prevRefs[ref.ID]; ok && pr.Ver == sess.ver && sessionPending(sess) == 0 {
-			// Clean: the record written at pr.Seq is bitwise this session's
-			// heavy state (same ver ⇒ no ingest ⇒ window/filters/debounce/
-			// counters unchanged and no pending was drained); only the
-			// volatile scheduler fields moved, and those ride in the ref.
-			ref.Seq = pr.Seq
-			refs = append(refs, ref)
+			// Clean: the receiver's record is bitwise this session's heavy
+			// state (same ver ⇒ no ingest ⇒ window/filters/debounce/counters
+			// unchanged and no pending was drained); only the volatile
+			// scheduler fields moved, and those ride in the ref.
 			continue
 		}
 		recs = append(recs, captureSessionLocked(s.id, sess))
-		refs = append(refs, ref) // Seq 0: record written by this checkpoint
 	}
 	s.mu.Unlock()
 	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })

@@ -1,19 +1,16 @@
 package serve
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
-	"cognitivearm/internal/checkpoint"
 	"cognitivearm/internal/stream"
 )
 
 // gatedSource stays silent for the first `silent` reads, then replays its
 // script — a subject who connects but only starts streaming later, the shape
-// that makes idle sessions checkpoint-clean while their scheduler fields
-// keep drifting.
+// that leaves an idle session's signal path unchanged while its scheduler
+// fields keep drifting.
 type gatedSource struct {
 	silent  int
 	reads   int
@@ -35,109 +32,12 @@ func (g *gatedSource) Read(max int) []stream.Sample {
 	return out
 }
 
-func ckptDirBytes(t *testing.T, dir string) int64 {
-	t.Helper()
-	var total int64
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, de := range des {
-		info, err := de.Info()
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += info.Size()
-	}
-	return total
-}
-
-func readManifestDir(t *testing.T, dir string) *checkpoint.Manifest {
-	t.Helper()
-	state, err := checkpoint.Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &state.Manifest
-}
-
-// TestIncrementalCheckpointWritesDirtyOnly is the acceptance gate for
-// dirty-only checkpoints at fleet scale: a 100-session fleet in which only
-// 10 sessions receive data between two checkpoints must write an incremental
-// directory of at most ~15% of the full checkpoint's bytes, containing
-// exactly the 10 dirty records and no model payload, while the manifest
-// still references all 100 sessions.
-func TestIncrementalCheckpointWritesDirtyOnly(t *testing.T) {
-	reg, p := testFleet(t)
-	const fleet, active = 100, 10
-	hub, err := NewHub(Config{Shards: 4, MaxSessionsPerShard: 25, TickHz: 15, LatencyWindow: 32}, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Stop()
-	// Every session streams long enough to fill its rolling window with real
-	// signal (so every full record carries its ~window-size payload), but
-	// only the first `active` still have samples left after the warmup —
-	// the other 90 run dry and stop mutating.
-	for i := 0; i < fleet; i++ {
-		n := 160 // < 20 ticks' worth: dry before the first checkpoint
-		if i < active {
-			n = 400
-		}
-		src := &scriptSource{samples: scriptedEEG(0, uint64(100+i), n)}
-		if _, err := hub.Admit(SessionConfig{ModelKey: "rf", Source: src, Norm: p.NormFor(0)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 20; i++ {
-		hub.TickAll()
-	}
-	root := t.TempDir()
-	fullDir, err := hub.Checkpoint(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		hub.TickAll()
-	}
-	incDir, err := hub.Checkpoint(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fullMan, incMan := readManifestDir(t, fullDir), readManifestDir(t, incDir)
-	if fullMan.Sessions != fleet || len(fullMan.Refs) != fleet {
-		t.Fatalf("full checkpoint: %d records / %d refs, want %d / %d", fullMan.Sessions, len(fullMan.Refs), fleet, fleet)
-	}
-	if incMan.Sessions != active {
-		t.Fatalf("incremental checkpoint wrote %d records, want exactly the %d dirty sessions", incMan.Sessions, active)
-	}
-	if len(incMan.Refs) != fleet {
-		t.Fatalf("incremental manifest references %d sessions, want the whole fleet (%d)", len(incMan.Refs), fleet)
-	}
-	if incMan.Base != fullMan.Seq || incMan.Increments != 1 {
-		t.Fatalf("incremental chain bookkeeping: base %d increments %d, want base %d increments 1", incMan.Base, incMan.Increments, fullMan.Seq)
-	}
-	if _, err := os.Stat(filepath.Join(incDir, "model-0.bin")); !os.IsNotExist(err) {
-		t.Fatal("incremental checkpoint rewrote the (immutable) model payload")
-	}
-	fullBytes, incBytes := ckptDirBytes(t, fullDir), ckptDirBytes(t, incDir)
-	if float64(incBytes) > 0.15*float64(fullBytes) {
-		t.Fatalf("incremental checkpoint wrote %d bytes = %.1f%% of the %d-byte full checkpoint, want <= 15%%",
-			incBytes, 100*float64(incBytes)/float64(fullBytes), fullBytes)
-	}
-	t.Logf("full checkpoint %d bytes, incremental %d bytes (%.1f%%)",
-		fullBytes, incBytes, 100*float64(incBytes)/float64(fullBytes))
-}
-
 // TestIncrementalRestoreBitwiseIdentical kills a fleet after several
-// incremental checkpoints — with one session active throughout, one idle
-// until after the last checkpoint (its record referenced, its scheduler
-// fields only in the manifest), and one mid-chain — restores from the
-// incremental chain, and demands the exact per-tick decode sequence of an
-// uninterrupted reference hub. It then pushes the chain past the compaction
-// bound and verifies the restore stays exact across the full-rewrite
-// boundary.
+// checkpoints — with one session active throughout, one idle until after
+// the last checkpoint (its signal path unchanged, its scheduler fields
+// drifting), and one that wakes mid-run — restores from the newest
+// checkpoint, and demands the exact per-tick decode sequence of an
+// uninterrupted reference hub, at two kill points many checkpoints apart.
 func TestIncrementalRestoreBitwiseIdentical(t *testing.T) {
 	reg, p := testFleet(t)
 	const (
@@ -180,26 +80,20 @@ func TestIncrementalRestoreBitwiseIdentical(t *testing.T) {
 		want = append(want, tickStats(t, ref, refIDs)...)
 	}
 
-	for _, killTick := range []int{41, 83} { // mid-chain, and past a compaction
+	for _, killTick := range []int{41, 83} { // after 6 and after 12 periodic checkpoints
 		root := t.TempDir()
 		victim, ids, srcs := build()
 		var got []SessionStats
-		ckpts := 0
 		for i := 0; i < killTick; i++ {
 			got = append(got, tickStats(t, victim, ids)...)
-			if i%7 == 6 { // checkpoint every 7 ticks: builds an incremental chain
+			if i%7 == 6 { // checkpoint every 7 ticks
 				if _, err := victim.Checkpoint(root); err != nil {
 					t.Fatal(err)
 				}
-				ckpts++
 			}
 		}
 		if _, err := victim.Checkpoint(root); err != nil { // final pre-kill checkpoint
 			t.Fatal(err)
-		}
-		ckpts++
-		if killTick == 83 && ckpts <= checkpoint.DefaultCompactEvery {
-			t.Fatalf("test meant to cross the compaction bound wrote only %d checkpoints", ckpts)
 		}
 		consumed := make([]int, len(srcs))
 		reads := make([]int, len(srcs))
@@ -242,44 +136,5 @@ func TestIncrementalRestoreBitwiseIdentical(t *testing.T) {
 			}
 			t.Fatalf("killTick %d: decode sequence diverged after incremental restore", killTick)
 		}
-	}
-}
-
-// TestCompactionBoundsChain: checkpointing more than DefaultCompactEvery
-// times must reset the chain with a full rewrite, and the chain length in
-// the manifest must never reach the bound.
-func TestCompactionBoundsChain(t *testing.T) {
-	reg, p := testFleet(t)
-	hub, err := NewHub(Config{Shards: 1, MaxSessionsPerShard: 2, TickHz: 15, LatencyWindow: 16}, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Stop()
-	if _, err := hub.Admit(SessionConfig{
-		ModelKey: "rf", Source: &scriptSource{samples: scriptedEEG(0, 5, 4000)}, Norm: p.NormFor(0),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	root := t.TempDir()
-	sawFullAgain := false
-	for i := 0; i < checkpoint.DefaultCompactEvery+3; i++ {
-		hub.TickAll()
-		dir, err := hub.Checkpoint(root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		man := readManifestDir(t, dir)
-		if man.Increments >= checkpoint.DefaultCompactEvery {
-			t.Fatalf("checkpoint %d: chain length %d reached the compaction bound %d", i, man.Increments, checkpoint.DefaultCompactEvery)
-		}
-		if i > 0 && man.Increments == 0 {
-			sawFullAgain = true
-			if man.Base != 0 {
-				t.Fatalf("full rewrite still records base %d", man.Base)
-			}
-		}
-	}
-	if !sawFullAgain {
-		t.Fatal("no compaction (full rewrite) happened within DefaultCompactEvery+3 checkpoints")
 	}
 }

@@ -154,19 +154,6 @@ func macsFor(c models.Classifier) int64 {
 	}
 }
 
-// LoadNNFile deserialises a saved NN classifier under key, once — LoadFile
-// narrowed to the NN-typed contract existing callers rely on.
-func (r *Registry) LoadNNFile(key, path string) (models.Classifier, error) {
-	clf, err := r.LoadFile(key, path)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := clf.(*models.NNClassifier); !ok {
-		return nil, fmt.Errorf("serve: %s holds a %T, not an NN classifier", path, clf)
-	}
-	return clf, nil
-}
-
 // Resolved returns the successfully built classifiers and their MAC
 // estimates. In-flight builds are skipped rather than waited for: the
 // checkpoint path must never block behind a training run.

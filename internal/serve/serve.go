@@ -53,13 +53,12 @@
 // daemon resumes without retraining and emits bitwise-identical labels for
 // the same subsequent input. Capture is copy-on-snapshot: shard locks are
 // held only to deep-copy in-memory state, never across serialization or disk
-// I/O, so paced tick loops do not stall. Checkpoints are incremental by
-// default: sessions carry a mutation counter, and only sessions that
-// ingested samples since the previous checkpoint (plus newly resolved
-// models) are deep-copied and written — the rest cost one manifest
-// reference each, so checkpoint cost scales with churn, not fleet size,
-// with a full-rewrite compaction every DefaultCompactEvery increments. See
-// ARCHITECTURE.md for the on-disk format specification.
+// I/O, so paced tick loops do not stall. Every checkpoint is a full,
+// self-contained snapshot. Between checkpoints the Journal (journal.go)
+// appends each session that ingested samples — sessions carry a mutation
+// counter — to a write-ahead log, so journal cost scales with churn, and
+// recovery replays that log on top of the newest checkpoint from its WalSeq
+// fence. See ARCHITECTURE.md for the on-disk format specification.
 package serve
 
 import (
@@ -196,8 +195,9 @@ type Hub struct {
 	// closes it; Start recreates it, so a stopped hub ticks serially.
 	pool *tensor.Pool
 
-	// ckptMu serialises Checkpoint (see its doc comment): the save-then-prune
-	// sequence must not interleave between concurrent callers.
+	// ckptMu serialises Checkpoint from capture through publish, so
+	// checkpoint directories are numbered in capture order (see
+	// checkpointWithWal).
 	ckptMu sync.Mutex
 
 	// idxMu guards index alone. It is a leaf lock (never held while taking

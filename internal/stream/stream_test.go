@@ -318,3 +318,42 @@ func TestFig4Shape(t *testing.T) {
 		}
 	}
 }
+
+// TestArrivalTrackingBounded: a million recorded arrivals leave each inlet's
+// arrival table at its ring capacity, and ArrivalTime still answers for
+// every sample the ring holds (the samples the Figure-4 transport
+// experiment looks up).
+func TestArrivalTrackingBounded(t *testing.T) {
+	const capacity, n = 64, 1_000_000
+	udp := &UDPInlet{Ring: NewRing(capacity), arrivals: newArrivalLog(capacity)}
+	lsl := &LSLInlet{Ring: NewRing(capacity), arrivals: newArrivalLog(capacity)}
+	for _, in := range []struct {
+		name    string
+		ring    *Ring
+		log     *arrivalLog
+		arrival func(uint64) (float64, bool)
+	}{
+		{"udp", udp.Ring, udp.arrivals, udp.ArrivalTime},
+		{"lsl", lsl.Ring, lsl.arrivals, lsl.ArrivalTime},
+	} {
+		for seq := uint64(0); seq < n; seq++ {
+			in.log.record(seq, float64(seq)/250)
+			in.ring.Push(Sample{Seq: seq})
+		}
+		if len(in.log.slots) != capacity {
+			t.Fatalf("%s: %d arrival slots after %d samples, want %d", in.name, len(in.log.slots), n, capacity)
+		}
+		held := in.ring.Snapshot()
+		if len(held) != capacity {
+			t.Fatalf("%s: ring holds %d samples, want %d", in.name, len(held), capacity)
+		}
+		for _, s := range held {
+			if at, ok := in.arrival(s.Seq); !ok || at != float64(s.Seq)/250 {
+				t.Fatalf("%s: ArrivalTime(%d) = %v, %v; want %v", in.name, s.Seq, at, ok, float64(s.Seq)/250)
+			}
+		}
+		if _, ok := in.arrival(held[0].Seq - 1); ok {
+			t.Fatalf("%s: ArrivalTime answered for seq %d, which left the ring", in.name, held[0].Seq-1)
+		}
+	}
+}

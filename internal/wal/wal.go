@@ -2,9 +2,9 @@
 // segmented, CRC-32C-framed write-ahead log with Merkle-batched integrity
 // proofs. Shard ticks journal dirty session records (and the audit stream of
 // admissions, refusals, migrations, reaps, failovers, and prediction
-// decisions) into it; incremental checkpoints become WAL snapshot +
-// truncation; warm standbys tail it carrying batch roots so a follower can
-// detect divergence before promotion.
+// decisions) into it; each full checkpoint fences it and truncates the
+// segments it covers; warm standbys tail it carrying batch roots so a
+// follower can detect divergence before promotion.
 //
 // # On-disk format (normative; mirrored in ARCHITECTURE.md)
 //
@@ -628,9 +628,6 @@ func (l *Log) LastSealed() uint64 {
 
 // Dir returns the log's directory.
 func (l *Log) Dir() string { return l.opts.Dir }
-
-// Recovered returns what Open found (stable after Open).
-func (l *Log) Recovered() RecoveryInfo { return l.recovered }
 
 // Close seals any pending batch, finalizes the active segment with its
 // footer, and closes the file. A cleanly closed WAL reopens with no
