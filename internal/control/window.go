@@ -133,6 +133,8 @@ func (w *Windower) WindowInto(dst *tensor.Matrix) *tensor.Matrix {
 }
 
 // Size returns the window length in samples.
+//
+//cogarm:zeroalloc
 func (w *Windower) Size() int { return w.view.Rows }
 
 // Debouncer is the actuation debounce shared by the single-subject

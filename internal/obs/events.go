@@ -40,7 +40,7 @@ const (
 	EvLeave
 	// EvDrain: this node drained its sessions away (members, 0).
 	EvDrain
-	// EvInletDrop: a network inlet discarded a malformed frame.
+	// EvInletDrop: a network inlet discarded a malformed or non-finite frame.
 	EvInletDrop
 	// EvReap: the failure detector removed an unresponsive member (members, 0).
 	EvReap
@@ -50,6 +50,9 @@ const (
 	// EvWalTruncate: WAL recovery cut a torn tail back to the last sealed
 	// batch boundary (bytes, entries dropped).
 	EvWalTruncate
+	// EvShed: a session's backlog exceeded one window and the tick dropped
+	// the oldest samples unfiltered (Session, Shard; samples, 0).
+	EvShed
 	evSentinel // keep last
 )
 
@@ -70,6 +73,7 @@ var eventNames = [...]string{
 	EvReap:                  "reap",
 	EvFailover:              "failover",
 	EvWalTruncate:           "wal_truncate",
+	EvShed:                  "shed",
 }
 
 // argNames maps each type's A/B arguments to JSON field names; an empty name
@@ -86,6 +90,7 @@ var argNames = [...][2]string{
 	EvReap:                  {"members", ""},
 	EvFailover:              {"sessions", ""},
 	EvWalTruncate:           {"bytes", "entries"},
+	EvShed:                  {"samples", ""},
 	evSentinel:              {},
 }
 

@@ -57,3 +57,47 @@ func TestShardTickAllocFree(t *testing.T) {
 		})
 	}
 }
+
+// TestShardTickAllocFreeRingFed covers the backlog-aware drain: ring-fed
+// sessions take their whole backlog each tick, and a burst past one window
+// sheds through the same arena buffer, with no heap allocation either way.
+func TestShardTickAllocFreeRingFed(t *testing.T) {
+	reg, p := testFleet(t)
+	const sessions = 8
+	hub, err := NewHub(Config{Shards: 1, MaxSessionsPerShard: sessions, TickHz: 15, LatencyWindow: 32}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Stop()
+	feeds := make([]*ringFeed, sessions)
+	for i := range feeds {
+		feeds[i] = newRingFeed(1024)
+		if _, err := hub.Admit(SessionConfig{ModelKey: "rf", Source: RingSource{Ring: feeds[i].ring}, Norm: p.NormFor(0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh := hub.shards[0]
+	w := windowSize(hub)
+	n := 0
+	tick := func() {
+		for i, f := range feeds {
+			if (n+i)%10 == 0 {
+				f.push(3 * w) // a burst: sheds 2·W
+			} else {
+				f.push(9)
+			}
+		}
+		n++
+		sh.tick()
+	}
+	for i := 0; i < 25; i++ { // every session bursts once: buffers at their high-water mark
+		tick()
+	}
+	shed := hub.tel.shed.Value()
+	if avg := testing.AllocsPerRun(50, tick); avg != 0 {
+		t.Fatalf("steady-state ring-fed tick allocates %.1f times per tick, want 0", avg)
+	}
+	if hub.tel.shed.Value() == shed {
+		t.Fatal("measured ticks never shed; the shed path went unmeasured")
+	}
+}

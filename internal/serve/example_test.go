@@ -49,7 +49,9 @@ func Example() {
 	defer hub.Stop()
 
 	// A client streams raw EEG into a ring (in production, a UDP/LSL inlet
-	// fills it); the session drains it at the tick rate.
+	// fills it); each tick drains everything the ring holds, up to one
+	// window. This burst is past one window, so the first tick sheds the
+	// 50 oldest samples and fills the 100-sample window with the newest.
 	ring := stream.NewRing(512)
 	gen := eeg.NewGenerator(eeg.NewSubject(0), 42)
 	for i := 0; i < 150; i++ {
@@ -64,7 +66,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	for i := 0; i < 15; i++ { // 15 ticks × ~8⅓ samples fill the 100-sample window
+	for i := 0; i < 15; i++ {
 		hub.TickAll()
 	}
 	st, _ := hub.Session(id)

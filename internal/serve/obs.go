@@ -19,13 +19,15 @@ import (
 // reads, so the disabled path measures the true uninstrumented cost —
 // that is the baseline benchtables' telemetry-off column records.
 type serveObs struct {
-	ticks      *obs.Counter
-	samples    *obs.Counter
-	rejected   *obs.Counter
-	inferences *obs.Counter
-	batches    *obs.Counter
-	admissions *obs.Counter
-	evictions  *obs.Counter
+	ticks       *obs.Counter
+	samples     *obs.Counter
+	rejected    *obs.Counter
+	shed        *obs.Counter
+	ticksMissed *obs.Counter
+	inferences  *obs.Counter
+	batches     *obs.Counter
+	admissions  *obs.Counter
+	evictions   *obs.Counter
 
 	refusedFull     *obs.Counter
 	refusedOverload *obs.Counter
@@ -58,6 +60,10 @@ func newServeObs() *serveObs {
 			"Raw samples ingested across all sessions."),
 		rejected: reg.Counter("cogarm_serve_samples_rejected_total",
 			"Ingested samples the signal path refused: fewer values than the session's channels, or a NaN/Inf value."),
+		shed: reg.Counter("cogarm_serve_samples_shed_total",
+			"Samples a backlogged source had past one window, dropped unfiltered so decisions stay at most one window stale."),
+		ticksMissed: reg.Counter("cogarm_serve_ticks_missed_total",
+			"Shard ticks the paced loop never ran because an earlier tick overran its period."),
 		inferences: reg.Counter("cogarm_serve_inferences_total",
 			"Classified windows (one per ready session per tick)."),
 		batches: reg.Counter("cogarm_serve_batches_total",

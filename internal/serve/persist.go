@@ -145,14 +145,22 @@ func (s *shard) captureSessions(prevRefs map[uint64]checkpoint.SessionRef) ([]ch
 	return recs, refs
 }
 
-// sessionPending cheaply counts samples buffered in the session's source
-// without copying them. Callers hold the owning shard's lock.
-func sessionPending(sess *session) int {
-	if pl, ok := sess.cfg.Source.(interface{ PendingLen() int }); ok {
-		return pl.PendingLen()
-	}
-	if snap, ok := sess.cfg.Source.(PendingSnapshotter); ok {
-		return len(snap.SnapshotPending())
+// sessionPending counts samples buffered in the session's source — the
+// dirtiness probe of the delta capture. Callers hold the owning shard's lock.
+func sessionPending(sess *session) int { return pendingLen(sess.cfg.Source) }
+
+// pendingLen counts samples src buffers, copying them only for a source that
+// can snapshot its backlog but not count it. It looks through a restore-time
+// pendingSource to the source it wraps, which pendingSource.PendingLen (the
+// allocation-free tick probe) counts only when it is a BacklogSource.
+func pendingLen(src Source) int {
+	switch v := src.(type) {
+	case *pendingSource:
+		return len(v.pending) + pendingLen(v.src)
+	case BacklogSource:
+		return v.PendingLen()
+	case PendingSnapshotter:
+		return len(v.SnapshotPending())
 	}
 	return 0
 }
@@ -534,14 +542,15 @@ func (p *pendingSource) ReadInto(dst []stream.Sample, max int) []stream.Sample {
 	return append(dst, p.src.Read(max)...)
 }
 
-// PendingLen counts replay samples plus whatever the wrapped source buffers,
-// without copying either.
+// PendingLen implements BacklogSource: the replay samples plus the wrapped
+// source's backlog when it can count one, so a restored ring-fed session
+// drains exactly as the pre-restore ring would have.
+//
+//cogarm:zeroalloc
 func (p *pendingSource) PendingLen() int {
 	n := len(p.pending)
-	if pl, ok := p.src.(interface{ PendingLen() int }); ok {
-		n += pl.PendingLen()
-	} else if snap, ok := p.src.(PendingSnapshotter); ok {
-		n += len(snap.SnapshotPending())
+	if bl, ok := p.src.(BacklogSource); ok {
+		n += bl.PendingLen()
 	}
 	return n
 }

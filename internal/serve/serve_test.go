@@ -296,9 +296,14 @@ func TestShortSamplesAreDropped(t *testing.T) {
 		raw := gen.Next(eeg.Idle)
 		ring.Push(stream.Sample{Seq: seq, Values: append([]float64(nil), raw[:]...)})
 		seq++
+		if i%10 == 9 {
+			// Stream at about the tick rate: a burst past one window
+			// would be shed, and this test is about the malformed frames.
+			hub.TickAll() // must not panic
+		}
 	}
-	for i := 0; i < 30; i++ {
-		hub.TickAll() // must not panic
+	for i := 0; i < 10; i++ {
+		hub.TickAll()
 	}
 	st, ok := hub.Session(id)
 	if !ok || st.Decoded == 0 {

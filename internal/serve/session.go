@@ -32,6 +32,18 @@ type ReaderInto interface {
 	ReadInto(dst []stream.Sample, max int) []stream.Sample
 }
 
+// BacklogSource is the optional Source extension of the backlog-aware
+// drain: sources a producer fills independently of the tick (ring-backed
+// network inlets) report how many samples wait unread, so the tick can take
+// everything pending instead of a fixed quota. Sources that synthesise
+// samples on demand (boards) have no backlog and do not implement it.
+type BacklogSource interface {
+	// PendingLen reports buffered-but-unread samples without copying them.
+	//
+	//cogarm:zeroalloc
+	PendingLen() int
+}
+
 // PendingSnapshotter is the optional Source extension the checkpoint path
 // uses: sources that buffer samples the session has not consumed yet (ring-
 // backed network inlets) expose a non-destructive copy, so a fleet snapshot
@@ -74,8 +86,9 @@ func (r RingSource) ReadInto(dst []stream.Sample, max int) []stream.Sample {
 // SnapshotPending implements PendingSnapshotter.
 func (r RingSource) SnapshotPending() []stream.Sample { return r.Ring.Snapshot() }
 
-// PendingLen reports buffered-but-unread samples without copying them — the
-// cheap dirtiness probe of the delta capture (CaptureDelta).
+// PendingLen implements BacklogSource.
+//
+//cogarm:zeroalloc
 func (r RingSource) PendingLen() int { return r.Ring.Len() }
 
 // SourceAddr implements AddrSource when the attached Closer is an inlet that
@@ -140,8 +153,10 @@ type session struct {
 	clf models.Classifier
 	win *control.Windower
 
-	// sampleAcc implements the fractional samples-per-tick schedule
-	// (e.g. 125 Hz / 15 Hz).
+	// sampleAcc implements the fractional samples-per-tick quota (e.g.
+	// 125 Hz / 15 Hz). The quota is the whole drain for on-demand sources;
+	// a BacklogSource drains at least the quota and up to one window of its
+	// backlog (see drain).
 	sampleAcc float64
 	debounce  control.Debouncer
 	// ver counts signal-path mutations: it increments exactly when a tick
@@ -164,14 +179,31 @@ type session struct {
 	actions [eeg.NumActions]uint64
 }
 
-// due returns how many samples this tick should consume from the source.
+// drain plans this tick's source read: read samples come off the source,
+// and only the newest keep of them reach the window. The quota is the
+// fractional sample-rate/tick-rate schedule in sampleAcc; an on-demand
+// source reads exactly it. A BacklogSource reads max(quota, min(pending, W))
+// with W the window length, after first taking the oldest pending−W samples
+// to shed: staleness stays bounded by one window, and the filter never runs
+// faster than samples arrive. sampleAcc advances for every source kind, so
+// its checkpointed value does not depend on the backlog.
 //
 //cogarm:zeroalloc
-func (s *session) due(tickHz float64) int {
+func (s *session) drain(tickHz float64) (read, keep int) {
 	s.sampleAcc += s.cfg.SampleRateHz / tickHz
-	n := int(s.sampleAcc)
-	s.sampleAcc -= float64(n)
-	return n
+	keep = int(s.sampleAcc)
+	s.sampleAcc -= float64(keep)
+	bl, ok := s.cfg.Source.(BacklogSource)
+	if !ok {
+		return keep, keep
+	}
+	pending, w := bl.PendingLen(), s.win.Size()
+	shed := 0
+	if pending > w {
+		shed, pending = pending-w, w
+	}
+	keep = max(keep, pending)
+	return keep + shed, keep
 }
 
 // observe feeds one decoded label through the counters and the debounce.

@@ -266,22 +266,42 @@ func (s *shard) stopLoop() {
 	s.wg.Wait()
 }
 
-// run paces ticks at TickHz. A tick that overruns its period simply delays
-// the next one (ticker backpressure) — the p99 latency snapshot is where
-// overload becomes visible.
+// run paces ticks at TickHz. A tick that overruns its period delays the
+// next one (ticker backpressure), and a ticker drops the ticks its receiver
+// misses: the p99 latency snapshot shows the overload, and
+// cogarm_serve_ticks_missed_total counts the ticks that never ran.
 func (s *shard) run() {
 	defer s.wg.Done()
 	interval := time.Duration(float64(time.Second) / s.cfg.TickHz)
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
+	var last time.Time
 	for {
 		select {
 		case <-s.stop:
 			return
-		case <-tick.C:
+		case at := <-tick.C:
+			if !last.IsZero() && s.tel != nil {
+				s.tel.ticksMissed.Add(missedTicks(at.Sub(last), interval))
+			}
+			last = at
 			s.tick()
 		}
 	}
+}
+
+// missedTicks returns how many ticks a time.Ticker dropped between two it
+// delivered gap apart. The ticker stamps each delivered tick with its
+// scheduled (monotonic) time, so a gap of k periods means k−1 ticks were
+// dropped; rounding to the nearest period absorbs timer jitter.
+func missedTicks(gap, period time.Duration) uint64 {
+	if period <= 0 {
+		return 0
+	}
+	if k := (gap + period/2) / period; k > 1 {
+		return uint64(k - 1)
+	}
+	return 0
 }
 
 // tick advances every session one classification period: drain due samples
@@ -317,9 +337,9 @@ func (s *shard) tick() {
 	ar := &s.arena
 
 	// Ingest phase: windows become ready independently per session.
-	var samplesIn, rejected uint64
+	var samplesIn, rejected, shed uint64
 	for id, sess := range s.sessions {
-		n := sess.due(s.cfg.TickHz)
+		n, keep := sess.drain(s.cfg.TickHz)
 		if tel != nil {
 			stamp = time.Now()
 		}
@@ -335,6 +355,15 @@ func (s *shard) tick() {
 			now := time.Now()
 			drainNs += now.Sub(stamp).Nanoseconds()
 			stamp = now
+		}
+		if extra := len(samples) - keep; extra > 0 {
+			// Backlog past one window: the oldest samples are read off the
+			// source and dropped unfiltered, so the window holds the newest.
+			samples = samples[extra:]
+			shed += uint64(extra)
+			if tel != nil {
+				tel.events.Record(obs.EvShed, s.id, uint64(id), int64(extra), 0)
+			}
 		}
 		if len(samples) == 0 {
 			sess.idleTicks++
@@ -410,6 +439,7 @@ func (s *shard) tick() {
 		tel.ticks.Inc()
 		tel.samples.Add(samplesIn)
 		tel.rejected.Add(rejected)
+		tel.shed.Add(shed)
 		tel.tick.ObserveDuration(time.Since(start).Nanoseconds())
 		tel.stageDrain.ObserveDuration(drainNs)
 		tel.stageWindow.ObserveDuration(windowNs)

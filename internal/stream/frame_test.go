@@ -106,3 +106,106 @@ func TestUDPInletDropsMalformed(t *testing.T) {
 		t.Fatalf("valid sample mangled or lost: %+v", got)
 	}
 }
+
+// waitFor polls cond for up to two seconds; inlets deliver on their own
+// reader goroutines.
+func waitFor(cond func() bool) bool {
+	deadline := time.Now().Add(2 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	return true
+}
+
+// TestUDPInletDropsNonFinite: a datagram holding a NaN or ±Inf is dropped
+// before it takes a ring slot, counted like any malformed frame, and the next
+// finite sample is accepted.
+func TestUDPInletDropsNonFinite(t *testing.T) {
+	in, err := NewUDPInlet(NewVirtualClock(0, 0), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	conn, err := net.Dial("udp", in.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	send := func(s Sample) {
+		t.Helper()
+		frame, _ := s.MarshalBinary()
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	bad := []Sample{
+		{Values: []float64{1, math.NaN(), 3}},
+		{Values: []float64{math.Inf(1), 2, 3}},
+		{Values: []float64{1, 2, math.Inf(-1)}},
+		{Timestamp: math.NaN(), Values: []float64{1, 2, 3}},
+	}
+	seq := uint64(0)
+	for i, b := range bad {
+		send(Sample{Seq: seq, Values: []float64{1, 2, 3}})
+		seq++
+		if !waitFor(func() bool { return in.Ring.Len() == i+1 }) {
+			t.Fatalf("finite sample %d not accepted", i)
+		}
+		dropsBefore := streamTel().udpDrops.Value()
+		b.Seq = seq
+		seq++
+		send(b)
+		if !waitFor(func() bool {
+			return in.DroppedFrames() == uint64(i+1) && streamTel().udpDrops.Value() > dropsBefore
+		}) {
+			t.Fatalf("non-finite sample %+v not counted: %d drops", b, in.DroppedFrames())
+		}
+		if got := streamTel().udpDrops.Value() - dropsBefore; got != 1 {
+			t.Fatalf("udp drop counter moved by %d, want 1", got)
+		}
+		if got := in.Ring.Len(); got != i+1 {
+			t.Fatalf("non-finite sample took a ring slot: len %d, want %d", got, i+1)
+		}
+	}
+	send(Sample{Seq: seq, Values: []float64{4, 5, 6}})
+	if !waitFor(func() bool { return in.Ring.Len() == len(bad)+1 }) {
+		t.Fatal("finite sample after the non-finite ones not accepted")
+	}
+	for _, s := range in.Ring.Drain() {
+		if !s.finite() {
+			t.Fatalf("ring holds a non-finite sample: %+v", s)
+		}
+	}
+}
+
+// TestLSLInletDropsNonFinite is the LSL counterpart: the reader refuses a
+// non-finite data frame and keeps streaming.
+func TestLSLInletDropsNonFinite(t *testing.T) {
+	out, err := NewLSLOutlet(NewVirtualClock(0, 0), LinkConfig{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	in, err := NewLSLInlet(out.Addr(), NewVirtualClock(0, 0), 16, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	if err := out.WaitReady(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	out.Push([]float64{1, 2})
+	out.Push([]float64{math.NaN(), 2})
+	out.Push([]float64{3, 4})
+	if !waitFor(func() bool { return in.Ring.Len() == 2 && in.DroppedFrames() == 1 }) {
+		t.Fatalf("ring %d samples, %d drops; want 2 and 1", in.Ring.Len(), in.DroppedFrames())
+	}
+	got := in.Ring.Drain()
+	if got[0].Seq != 0 || got[1].Seq != 2 {
+		t.Fatalf("kept seqs %d,%d, want 0,2", got[0].Seq, got[1].Seq)
+	}
+}

@@ -250,7 +250,7 @@ func (in *LSLInlet) reader() {
 		switch frame[0] {
 		case msgData:
 			var s Sample
-			if err := s.UnmarshalBinary(frame); err != nil {
+			if err := s.UnmarshalBinary(frame); err != nil || !s.finite() {
 				in.drop()
 				continue
 			}

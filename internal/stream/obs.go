@@ -17,7 +17,10 @@ type streamObs struct {
 	lslDrops *obs.Counter
 	udpBytes *obs.Counter
 	lslBytes *obs.Counter
-	events   *obs.EventRing
+	// ringOverwritten counts samples a full Ring overwrote before any
+	// reader took them.
+	ringOverwritten *obs.Counter
+	events          *obs.EventRing
 }
 
 var (
@@ -35,7 +38,7 @@ func streamTel() *streamObs {
 		reg := obs.Default()
 		drops := func(transport string) *obs.Counter {
 			return reg.Counter("cogarm_stream_frames_dropped_total",
-				"Malformed or oversized inbound frames discarded by inlets, by transport.",
+				"Malformed, oversized or non-finite inbound frames discarded by inlets, by transport.",
 				obs.L("transport", transport))
 		}
 		bytes := func(transport string) *obs.Counter {
@@ -48,7 +51,9 @@ func streamTel() *streamObs {
 			lslDrops: drops("lsl"),
 			udpBytes: bytes("udp"),
 			lslBytes: bytes("lsl"),
-			events:   obs.DefaultEvents(),
+			ringOverwritten: reg.Counter("cogarm_stream_ring_overwritten_total",
+				"Buffered samples a full inlet ring overwrote before the session read them."),
+			events: obs.DefaultEvents(),
 		}
 	})
 	return streamTelVal

@@ -1,6 +1,10 @@
 package stream
 
-import "sync"
+import (
+	"sync"
+
+	"cognitivearm/internal/obs"
+)
 
 // Ring is a fixed-capacity thread-safe FIFO of samples. When full, pushing
 // overwrites the oldest element — matching acquisition-buffer semantics where
@@ -12,6 +16,9 @@ type Ring struct {
 	size    int
 	dropped uint64
 	notify  chan struct{}
+	// overwritten aggregates overwrites across every ring in the process
+	// (cogarm_stream_ring_overwritten_total); dropped is this ring's own.
+	overwritten *obs.Counter
 }
 
 // NewRing creates a ring holding up to capacity samples. Capacity must be
@@ -20,7 +27,8 @@ func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		panic("stream: ring capacity must be positive")
 	}
-	return &Ring{buf: make([]Sample, capacity), notify: make(chan struct{}, 1)}
+	return &Ring{buf: make([]Sample, capacity), notify: make(chan struct{}, 1),
+		overwritten: streamTel().ringOverwritten}
 }
 
 // Push appends a sample, overwriting the oldest if full. It reports whether
@@ -33,6 +41,9 @@ func (r *Ring) Push(s Sample) (overwrote bool) {
 		r.buf[r.head] = s
 		r.head = (r.head + 1) % len(r.buf)
 		r.dropped++
+		if r.overwritten != nil {
+			r.overwritten.Inc()
+		}
 		overwrote = true
 	} else {
 		r.buf[(r.head+r.size)%len(r.buf)] = s

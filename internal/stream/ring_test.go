@@ -47,3 +47,20 @@ func TestRingSnapshotEmpty(t *testing.T) {
 		t.Fatalf("empty ring snapshot = %v", got)
 	}
 }
+
+// TestRingOverwriteCounted: every sample a full ring overwrites moves the
+// process-wide cogarm_stream_ring_overwritten_total counter.
+func TestRingOverwriteCounted(t *testing.T) {
+	c := streamTel().ringOverwritten
+	before := c.Value()
+	r := NewRing(4)
+	for i := 0; i < 7; i++ {
+		r.Push(Sample{Seq: uint64(i)})
+	}
+	if got := c.Value() - before; got != 3 {
+		t.Fatalf("overwrite counter moved by %d, want 3", got)
+	}
+	if r.Dropped() != 3 {
+		t.Fatalf("ring dropped %d, want 3", r.Dropped())
+	}
+}

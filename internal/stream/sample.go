@@ -76,5 +76,20 @@ func (s *Sample) UnmarshalBinary(buf []byte) error {
 	return nil
 }
 
+// finite reports whether the timestamp and every value are finite numbers.
+// Inlets drop a sample that is not before it takes a ring slot: one NaN
+// would otherwise travel to the shard and cost a window position there.
+func (s *Sample) finite() bool {
+	if math.IsNaN(s.Timestamp) || math.IsInf(s.Timestamp, 0) {
+		return false
+	}
+	for _, v := range s.Values {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // WireSize returns the encoded size in bytes for nch channels.
 func WireSize(nch int) int { return headerSize + 8*nch }

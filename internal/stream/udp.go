@@ -160,9 +160,9 @@ func (in *UDPInlet) reader() {
 }
 
 // parseDatagram strictly validates one inbound datagram: data tag, channel
-// count within MaxChannels, and an exact size match against the declared
+// count within MaxChannels, an exact size match against the declared
 // geometry (a sample occupies the whole datagram — trailing bytes mean a
-// corrupt or foreign frame, not padding).
+// corrupt or foreign frame, not padding), and finite values.
 func parseDatagram(buf []byte) (Sample, bool) {
 	if len(buf) < headerSize || buf[0] != msgData {
 		return Sample{}, false
@@ -171,7 +171,7 @@ func parseDatagram(buf []byte) (Sample, bool) {
 		return Sample{}, false
 	}
 	var s Sample
-	if err := s.UnmarshalBinary(buf); err != nil {
+	if err := s.UnmarshalBinary(buf); err != nil || !s.finite() {
 		return Sample{}, false
 	}
 	return s, true
