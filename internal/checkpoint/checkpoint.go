@@ -53,7 +53,6 @@ import (
 	"cognitivearm/internal/control"
 	"cognitivearm/internal/models"
 	"cognitivearm/internal/obs"
-	"cognitivearm/internal/wal"
 
 	// Register the ensemble codec so checkpoints holding ensembles load.
 	_ "cognitivearm/internal/ensemble"
@@ -192,7 +191,7 @@ type SessionRecord struct {
 	ID    uint64
 	Shard int
 	// Ver is the session's mutation counter (serve bumps it whenever a tick
-	// ingests samples). The WAL journal and replication tail resend a record
+	// ingests samples). The WAL journal and replication batches resend a record
 	// only when Ver moved; restore resumes the counter so dirtiness stays
 	// comparable across daemon restarts.
 	Ver uint64
@@ -245,15 +244,10 @@ type FleetState struct {
 	Models map[string]models.Classifier
 	// ModelMACs carries each model's per-inference MAC estimate.
 	ModelMACs map[string]int64
-	// Sessions holds the session records — the whole fleet for a checkpoint
-	// or stream, the dirty subset for a WAL flush or replication batch
-	// (Manifest.Refs then carries the full fleet view).
+	// Sessions holds the session records — the whole fleet for a checkpoint,
+	// the migrated sessions for a migration, the dirty subset for a WAL flush
+	// or replication batch (Manifest.Refs then carries the full fleet view).
 	Sessions []SessionRecord
-	// TailRoot is the verified Merkle root of the replication batch this
-	// state was decoded from (TailReader.ReadBatch only; zero elsewhere).
-	// A follower records it per-epoch so divergence from the primary is
-	// attributable to a specific batch at promotion time.
-	TailRoot [wal.HashSize]byte
 }
 
 const (

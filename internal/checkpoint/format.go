@@ -39,18 +39,6 @@ const (
 	KindModel = uint16(2)
 	// KindSessions files hold one record per persisted session.
 	KindSessions = uint16(3)
-	// KindStream frames a whole FleetState as one self-delimiting byte
-	// stream — the wire variant of a checkpoint directory, written by
-	// WriteStream and consumed by ReadStream (live session migration,
-	// replication). Record order: manifest, models (manifest order),
-	// sessions.
-	KindStream = uint16(4)
-	// KindReplica frames a replication tail: one header followed by an
-	// unbounded sequence of batches, each a manifest record (epoch in Seq,
-	// full live-session reference view in Refs) + the models not yet shipped
-	// on this tail + the session records dirty since the previous batch.
-	// Written by TailWriter, consumed batch-by-batch by TailReader.
-	KindReplica = uint16(5)
 )
 
 // Record types.
@@ -61,13 +49,6 @@ const (
 	RecModel = byte(2)
 	// RecSession is a gob-encoded SessionRecord.
 	RecSession = byte(3)
-	// RecSeal closes one replication-tail batch with a Merkle root over the
-	// batch's record payloads: count uint32 LE | root [32]byte (see
-	// internal/wal for the tree shape). The receiver recomputes the root
-	// from what it decoded and refuses the batch on mismatch, so a follower
-	// detects stream divergence at apply time — before promotion could ever
-	// serve silently corrupt state.
-	RecSeal = byte(4)
 )
 
 // maxRecordLen bounds a single record so a corrupted length field cannot ask

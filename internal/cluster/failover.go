@@ -187,10 +187,17 @@ func (n *Node) promote(dead string) int {
 		}
 		promoted++
 	}
+	// The image's provenance: the last verified batch it folded, by stream
+	// seq and root. The event carries the root's first 6 bytes as an int.
+	var root48 int64
+	for _, b := range set.lastRoot[:6] {
+		root48 = root48<<8 | int64(b)
+	}
 	t.failovers.Inc()
 	t.promoted.Add(uint64(promoted))
-	t.events.Record(obs.EvFailover, -1, 0, int64(promoted), 0)
-	n.logf("cluster: %s promoted %d replica sessions of %s", n.id, promoted, dead)
+	t.events.Record(obs.EvFailover, -1, 0, int64(promoted), root48)
+	n.logf("cluster: %s promoted %d replica sessions of %s (replicated through seq %d, root %x)",
+		n.id, promoted, dead, set.lastSeq, set.lastRoot[:6])
 	return promoted
 }
 

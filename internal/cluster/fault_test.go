@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"fmt"
+	"net"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -74,6 +77,56 @@ func TestMigrationCutMidStreamRestoresEverySession(t *testing.T) {
 	}
 	if got := nodeB.Ring().Nodes(); len(got) != 1 || got[0] != "node-b" {
 		t.Fatalf("joiner's ring is %v after rollback, want [node-b]", got)
+	}
+}
+
+// TestMigrationForgedLengthAllocatesReceivedBytes: the migrate verb is
+// served on the unauthenticated cluster port, so a stream that declares a
+// 256 MiB record and then closes must cost the receiver about what was
+// sent, not the declared length — and restore nothing.
+func TestMigrationForgedLengthAllocatesReceivedBytes(t *testing.T) {
+	clf, _ := sharedModel(t)
+	hub := newHub(t, registryWith(clf))
+	defer hub.Stop()
+	node, err := NewNode(Config{ID: "node-b", Rebind: dropRebind, Logf: t.Logf}, hub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+
+	wire := []byte{verbMigrate}
+	wire = append(wire, "CAWL"...)                         // WAL magic
+	wire = binary.LittleEndian.AppendUint16(wire, 1)       // format version
+	wire = binary.LittleEndian.AppendUint16(wire, 2)       // stream kind
+	wire = append(wire, 1)                                 // entry frame
+	wire = binary.LittleEndian.AppendUint32(wire, 256<<20) // declared payload length
+	wire = append(wire, make([]byte, 4096)...)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	conn, err := net.Dial("tcp", node.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	conn.(*net.TCPConn).CloseWrite()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	ack, _, err := readAck(conn, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.Err == "" || ack.Handled != 0 {
+		t.Fatalf("forged migration acked %+v, want an error with nothing handled", ack)
+	}
+	if n := hub.Sessions(); n != 0 {
+		t.Fatalf("receiver holds %d sessions from a forged stream", n)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
+		t.Fatalf("a %d-byte migration declaring 256 MiB allocated %d bytes", len(wire), got)
 	}
 }
 

@@ -13,20 +13,21 @@ import (
 	"cognitivearm/internal/models"
 	"cognitivearm/internal/obs"
 	"cognitivearm/internal/serve"
+	"cognitivearm/internal/wal"
 )
 
 // Protocol verbs. Every inter-node connection carries exactly one request:
 // a verb byte, a body, and one framed ack back. Control bodies (join,
 // announce, leave) are gob-encoded memberMsg values framed by
-// stream.WriteMsg; a migrate body is a raw checkpoint stream
-// (checkpoint.WriteStream), self-delimiting via its manifest.
+// stream.WriteMsg; a migrate body is one sealed batch on a fresh WAL stream
+// (wal.StreamWriter), self-delimiting via its seal.
 const (
 	verbJoin      = byte(1) // memberMsg → ack with full membership
 	verbAnnounce  = byte(2) // memberMsg → ack (add member + rebalance)
 	verbLeave     = byte(3) // memberMsg → ack (remove member)
-	verbMigrate   = byte(4) // checkpoint stream → ack with restored count
+	verbMigrate   = byte(4) // WAL stream batch → ack with restored count
 	verbPing      = byte(5) // memberMsg → ack (heartbeat; also beats the detector)
-	verbReplicate = byte(6) // memberMsg handshake, then a replication tail with one ack per batch
+	verbReplicate = byte(6) // memberMsg handshake, then a WAL stream with one ack per batch
 	verbLocate    = byte(7) // locateMsg → ack with owner, owner addr, ingest addr
 )
 
@@ -532,7 +533,7 @@ func (n *Node) rebalance() error {
 }
 
 // migrateTo extracts the given sessions and streams them to owner as one
-// checkpoint stream. Extraction is atomic per session (capture-and-remove
+// WAL stream batch. Extraction is atomic per session (capture-and-remove
 // under the shard lock), so the receiving node resumes each session exactly
 // at the tick boundary it left this one. On failure the extracted sessions
 // are restored locally so none is lost.
@@ -579,8 +580,9 @@ func (n *Node) migrateTo(owner string, ids []serve.SessionID) error {
 	return nil
 }
 
-// migrationState wraps session records and the models they reference into a
-// streamable FleetState.
+// migrationState wraps session records and the models they reference into
+// the FleetState a migration batch is built from. Counter baselines stay
+// home: they are this node's serving history, not the sessions'.
 func (n *Node) migrationState(recs []checkpoint.SessionRecord) (*checkpoint.FleetState, error) {
 	cfg := n.hub.Config()
 	clfs, macs := n.hub.Registry().Resolved()
@@ -593,9 +595,6 @@ func (n *Node) migrationState(recs []checkpoint.SessionRecord) (*checkpoint.Flee
 				MaxIdleTicks:        cfg.MaxIdleTicks,
 				LatencyWindow:       cfg.LatencyWindow,
 			},
-			// Counter baselines stay home: they are this node's serving
-			// history, not the sessions'.
-			Shards: make([]checkpoint.ShardCounters, cfg.Shards),
 		},
 		Models:    map[string]models.Classifier{},
 		ModelMACs: map[string]int64{},
@@ -616,7 +615,8 @@ func (n *Node) migrationState(recs []checkpoint.SessionRecord) (*checkpoint.Flee
 	return state, nil
 }
 
-// sendMigration performs one migrate exchange: verb, checkpoint stream, ack.
+// sendMigration performs one migrate exchange: verb, one batch on a fresh
+// WAL stream (serve.AppendDelta, every model its sessions use), ack.
 // It returns how many of the streamed sessions the receiver consumed, which
 // on failure (ack carrying an error) tells the caller where to resume local
 // restoration; without an ack at all it returns 0.
@@ -630,7 +630,11 @@ func (n *Node) sendMigration(addr string, state *checkpoint.FleetState) (int, er
 	if _, err := conn.Write([]byte{verbMigrate}); err != nil {
 		return 0, err
 	}
-	if err := checkpoint.WriteStream(conn, state); err != nil {
+	sw := wal.NewStreamWriter(conn)
+	if err := serve.AppendDelta(sw, state, map[string]struct{}{}); err != nil {
+		return 0, err
+	}
+	if _, _, _, err := sw.Seal(); err != nil {
 		return 0, err
 	}
 	ack, _, err := readAck(conn, nil)
@@ -792,9 +796,10 @@ func (n *Node) handle(conn net.Conn) {
 	}
 }
 
-// receiveMigration decodes one checkpoint stream and resumes its sessions on
-// the local hub. Models the registry has not resolved yet are registered
-// from the stream; a key the registry already holds keeps the local
+// receiveMigration reads the one verified batch of a migration stream and
+// resumes its sessions on the local hub. Every session's model must arrive
+// in that batch. Models the registry has not resolved yet are registered
+// from the batch; a key the registry already holds keeps the local
 // instance — in a fleet, one model key names identical weights everywhere
 // (the registry trains deterministically or loads the same artifact), so the
 // shared local copy serves migrated sessions bitwise-identically.
@@ -802,14 +807,26 @@ func (n *Node) handle(conn net.Conn) {
 // The returned count is how many sessions were fully consumed (restored or
 // deliberately dropped by the rebind factory), in stream order — valid even
 // alongside an error, so the sender can restore exactly the remainder.
-func (n *Node) receiveMigration(conn net.Conn) (int, error) {
-	state, err := checkpoint.ReadStream(conn)
+func (n *Node) receiveMigration(r io.Reader) (int, error) {
+	b, err := wal.NewStreamReader(r).ReadBatch()
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF // the stream closed before its batch
+	}
 	if err != nil {
 		return 0, err
 	}
+	d, err := serve.DecodeDelta(b.Entries)
+	if err != nil {
+		return 0, err
+	}
+	for i := range d.Records {
+		if _, ok := d.Models[d.Records[i].ModelKey]; !ok {
+			return 0, fmt.Errorf("migrated session %d references model %q not in its batch", d.Records[i].ID, d.Records[i].ModelKey)
+		}
+	}
 	reg := n.hub.Registry()
-	for key := range state.Models {
-		clf, macs := state.Models[key], state.ModelMACs[key]
+	for key := range d.Models {
+		clf, macs := d.Models[key], d.MACs[key]
 		if _, _, err := reg.GetOrBuild(key, func() (models.Classifier, int64, error) {
 			return clf, macs, nil
 		}); err != nil {
@@ -817,8 +834,8 @@ func (n *Node) receiveMigration(conn net.Conn) (int, error) {
 		}
 	}
 	restored, handled := 0, 0
-	for i := range state.Sessions {
-		rec := &state.Sessions[i]
+	for i := range d.Records {
+		rec := &d.Records[i]
 		src, err := n.rebind(serve.RestoredSession{
 			ID:           serve.SessionID(rec.ID),
 			ModelKey:     rec.ModelKey,

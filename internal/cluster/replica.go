@@ -10,17 +10,20 @@ import (
 
 	"cognitivearm/internal/checkpoint"
 	"cognitivearm/internal/models"
+	"cognitivearm/internal/serve"
 	"cognitivearm/internal/wal"
 )
 
 // Warm-standby replication. The sender half (Node.ReplicateOnce) captures
 // the hub's dirty-session delta — the same records the WAL journal flushes —
-// and tails it to this node's ring successors over long-lived
-// verbReplicate connections, one checkpoint.TailWriter per standby. The
-// receiver half (Node.handleReplicate) folds each batch into a replicaStore:
-// an in-memory, always-promotable image of the primary's sessions, at most
-// one replication interval stale. Promotion (failover.go) turns that image
-// into live serving sessions via serve.Hub.PromoteSession.
+// builds it with serve.AppendDelta, and ships it as one sealed batch of a
+// WAL stream to each of this node's ring successors over long-lived
+// verbReplicate connections. The receiver half (Node.handleReplicate) reads
+// each verified batch with wal.StreamReader and folds it with serve.Delta —
+// the fold WAL replay uses — into a replicaStore: an in-memory,
+// always-promotable image of the primary's sessions, at most one replication
+// interval stale. Promotion (failover.go) turns that image into live serving
+// sessions via serve.Hub.PromoteSession.
 
 // replicaSet is the accumulated replica image of one primary.
 type replicaSet struct {
@@ -28,11 +31,11 @@ type replicaSet struct {
 	// standby promotes into its own hub, not a reconstruction of the
 	// primary's.
 	hub checkpoint.HubConfig
-	// epoch is the last applied batch's per-connection sequence number.
-	// Batches must arrive gap-free (epoch+1); anything else means a batch
-	// was lost or a stale connection is still writing, and the tail is torn
+	// lastSeq is the last applied entry's per-connection stream sequence
+	// number. A batch must start at lastSeq+1; anything else means a batch
+	// was lost or a stale connection is still writing, and the link is torn
 	// down so the next connection full-resyncs.
-	epoch uint64
+	lastSeq uint64
 	// models and macs accumulate across tails: model weights are immutable
 	// once resolved, so an image from an earlier connection stays valid.
 	models map[string]models.Classifier
@@ -43,9 +46,9 @@ type replicaSet struct {
 	batches  uint64
 	lastAt   time.Time
 	// lastRoot is the Merkle root of the last applied batch, as verified by
-	// checkpoint.TailReader against the sender's seal. It makes the image's
-	// provenance auditable at promotion time: the promoting node can state
-	// exactly which verified batch its serving state descends from.
+	// wal.StreamReader against the sender's seal. Promotion reports it with
+	// lastSeq, so the promoting node states exactly which verified batch its
+	// serving state descends from.
 	lastRoot [wal.HashSize]byte
 }
 
@@ -78,43 +81,37 @@ func (s *replicaStore) beginTail(src string) {
 		s.set[src] = rs
 	}
 	rs.sessions = map[uint64]checkpoint.SessionRecord{}
-	rs.epoch = 0
+	rs.lastSeq = 0
 	s.mu.Unlock()
 }
 
-// apply folds one decoded batch into src's image and returns the live
-// session count afterwards. Any error means the image can no longer be
-// trusted — the caller tears the connection down and the next one resyncs
-// from scratch.
-func (s *replicaStore) apply(src string, batch *checkpoint.FleetState, now time.Time) (int, error) {
+// apply folds one verified batch, already decoded into d, into src's image
+// and returns the live session count afterwards. Any error means the image
+// can no longer be trusted — the caller tears the connection down and the
+// next one resyncs from scratch.
+func (s *replicaStore) apply(src string, b *wal.Batch, d *serve.Delta, now time.Time) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rs, ok := s.set[src]
 	if !ok {
 		return 0, fmt.Errorf("cluster: replication batch from %s without an open tail", src)
 	}
-	if batch.Manifest.Seq != rs.epoch+1 {
-		return 0, fmt.Errorf("cluster: replication batch epoch %d from %s, want %d (stale connection?)", batch.Manifest.Seq, src, rs.epoch+1)
+	if b.First != rs.lastSeq+1 {
+		return 0, fmt.Errorf("cluster: replication batch [%d,%d] from %s, want first seq %d (stale connection?)", b.First, b.Last, src, rs.lastSeq+1)
 	}
-	rs.epoch = batch.Manifest.Seq
-	rs.hub = batch.Manifest.Hub
-	for key, clf := range batch.Models {
-		rs.models[key] = clf
-		rs.macs[key] = batch.ModelMACs[key]
+	if d.Refs == nil {
+		return 0, fmt.Errorf("cluster: replication batch [%d,%d] from %s carries no refs manifest", b.First, b.Last, src)
 	}
-	for i := range batch.Sessions {
-		rec := batch.Sessions[i]
-		rs.sessions[rec.ID] = rec
-	}
-	// The manifest's Refs are the primary's complete live view; a ref that
-	// does not resolve at its version means this tail missed state and must
-	// resync.
-	if err := checkpoint.FoldRefs(rs.sessions, batch.Manifest.Refs); err != nil {
+	// The refs are the primary's complete live view; a ref that does not
+	// resolve at its version means this link missed state and must resync.
+	if err := d.FoldInto(rs.sessions, rs.models, rs.macs); err != nil {
 		return 0, fmt.Errorf("cluster: replica of %s out of sync: %v", src, err)
 	}
+	rs.lastSeq = b.Last
+	rs.lastRoot = b.Root
+	rs.hub = d.Refs.Hub
 	rs.batches++
 	rs.lastAt = now
-	rs.lastRoot = batch.TailRoot
 	return len(rs.sessions), nil
 }
 
@@ -158,11 +155,12 @@ func (s *replicaStore) sources() []string {
 	return out
 }
 
-// replLink is one live replication tail to a standby.
+// replLink is one live replication stream to a standby.
 type replLink struct {
 	target   string
 	conn     net.Conn
-	tw       *checkpoint.TailWriter
+	sw       *wal.StreamWriter
+	sent     map[string]struct{} // models already shipped on this stream
 	lastRefs map[uint64]checkpoint.SessionRef
 	ackBuf   []byte
 }
@@ -269,9 +267,10 @@ func (n *Node) ReplicateAt(now time.Time) error {
 	return firstErr
 }
 
-// linkTo opens a replication tail to a standby: dial, verb, identity
-// handshake, tail header. The handshake ack proves the standby recognises
-// this node as a ring member before any state is shipped.
+// linkTo opens a replication stream to a standby: dial, verb, identity
+// handshake. The handshake ack proves the standby recognises this node as a
+// ring member before any state is shipped; the stream header goes out with
+// the first batch.
 func (n *Node) linkTo(target string) (*replLink, error) {
 	n.mu.Lock()
 	addr, ok := n.peers[target]
@@ -301,22 +300,21 @@ func (n *Node) linkTo(target string) (*replLink, error) {
 	if ack.Err != "" {
 		return fail(fmt.Errorf("remote: %s", ack.Err))
 	}
-	tw, err := checkpoint.NewTailWriter(conn)
-	if err != nil {
-		return fail(err)
-	}
-	return &replLink{target: target, conn: conn, tw: tw}, nil
+	return &replLink{target: target, conn: conn, sw: wal.NewStreamWriter(conn), sent: map[string]struct{}{}}, nil
 }
 
 // shipBatch captures the dirty delta since the link's last acknowledged
-// batch and writes it down the tail, waiting for the standby's ack. Only an
-// acknowledged batch advances lastRefs, so a batch the standby never
-// applied is recaptured (as still-dirty sessions) by the next connection.
+// batch and writes it down the stream as one sealed batch, waiting for the
+// standby's ack. Only an acknowledged batch advances lastRefs, so a batch
+// the standby never applied is recaptured (as still-dirty sessions) by the
+// next connection.
 func (n *Node) shipBatch(link *replLink) error {
 	delta := n.hub.CaptureDelta(link.lastRefs)
 	link.conn.SetDeadline(time.Now().Add(ioTimeout))
-	_, sessions, _, err := link.tw.WriteBatch(delta)
-	if err != nil {
+	if err := serve.AppendDelta(link.sw, delta, link.sent); err != nil {
+		return err
+	}
+	if _, _, _, err := link.sw.Seal(); err != nil {
 		return err
 	}
 	ack, buf, err := readAck(link.conn, link.ackBuf)
@@ -330,13 +328,13 @@ func (n *Node) shipBatch(link *replLink) error {
 	link.lastRefs = delta.Manifest.RefIndex()
 	t := clusterTel()
 	t.replBatchesOut.Inc()
-	t.replRecords.Add(uint64(sessions))
+	t.replRecords.Add(uint64(len(delta.Sessions)))
 	return nil
 }
 
-// handleReplicate serves the receiving half of one replication tail: an
-// identity handshake, then batches applied to the replica store until the
-// connection closes. This is the one long-lived verb — the per-batch ack
+// handleReplicate serves the receiving half of one replication stream: an
+// identity handshake, then verified batches decoded outside the store lock
+// and folded into the replica store until the connection closes. This is the one long-lived verb — the per-batch ack
 // doubles as flow control, and every applied batch also counts as a
 // heartbeat from the primary (a node that is replicating is alive).
 func (n *Node) handleReplicate(conn net.Conn) {
@@ -353,22 +351,22 @@ func (n *Node) handleReplicate(conn net.Conn) {
 		return
 	}
 	n.replicas.beginTail(msg.ID)
-	tr, err := checkpoint.NewTailReader(conn)
-	if err != nil {
-		n.logf("cluster: replication tail from %s: %v", msg.ID, err)
-		return
-	}
+	sr := wal.NewStreamReader(conn)
 	t := clusterTel()
 	for {
 		conn.SetDeadline(time.Now().Add(ioTimeout))
-		batch, err := tr.ReadBatch()
+		b, err := sr.ReadBatch()
 		if err != nil {
 			if err != io.EOF {
 				n.logf("cluster: replication tail from %s: %v", msg.ID, err)
 			}
 			return
 		}
-		live, err := n.replicas.apply(msg.ID, batch, time.Now())
+		d, err := serve.DecodeDelta(b.Entries)
+		live := 0
+		if err == nil {
+			live, err = n.replicas.apply(msg.ID, b, d, time.Now())
+		}
 		if err != nil {
 			n.logf("cluster: replication tail from %s: %v", msg.ID, err)
 			writeAck(conn, ackMsg{Err: err.Error()})

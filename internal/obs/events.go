@@ -45,7 +45,8 @@ const (
 	// EvReap: the failure detector removed an unresponsive member (members, 0).
 	EvReap
 	// EvFailover: replica sessions of a dead member were promoted to live
-	// serving here (sessions, 0).
+	// serving here (sessions, root48: the first 6 bytes of the Merkle root of
+	// the last replication batch the promoted image folded, big-endian).
 	EvFailover
 	// EvWalTruncate: WAL recovery cut a torn tail back to the last sealed
 	// batch boundary (bytes, entries dropped).
@@ -88,7 +89,7 @@ var argNames = [...][2]string{
 	EvLeave:                 {"members", ""},
 	EvDrain:                 {"members", ""},
 	EvReap:                  {"members", ""},
-	EvFailover:              {"sessions", ""},
+	EvFailover:              {"sessions", "root48"},
 	EvWalTruncate:           {"bytes", "entries"},
 	EvShed:                  {"samples", ""},
 	evSentinel:              {},

@@ -16,13 +16,18 @@ import (
 )
 
 // The serve journal: the hub's write-ahead log. Between checkpoints, every
-// flush captures the dirty-session delta (the same sweep replication tails
-// run), appends it to the WAL as one Merkle-sealed batch, and drains the
-// process event ring into the same batch as the durable audit trail.
-// Recovery is checkpoint base + WAL replay: ReplayWAL folds every sealed
-// entry past the checkpoint's WalSeq over the loaded state, so a daemon
-// killed between checkpoints loses at most one flush interval instead of one
-// checkpoint interval.
+// flush captures the dirty-session delta (the same sweep replication runs),
+// appends it to the WAL as one Merkle-sealed batch, and drains the process
+// event ring into the same batch as the durable audit trail. Recovery is
+// checkpoint base + WAL replay: ReplayWAL folds every sealed entry past the
+// checkpoint's WalSeq over the loaded state, so a daemon killed between
+// checkpoints loses at most one flush interval instead of one checkpoint
+// interval.
+//
+// A delta has one format wherever it goes. AppendDelta builds its entries
+// onto an Appender — the journal's wal.Log, or the wal.StreamWriter of a
+// replication link or a migration — and Delta decodes sealed entries back
+// and folds them, for ReplayWAL and for the cluster standby alike.
 //
 // Layering: the journal lives in serve because it converts hub state to WAL
 // entries, exactly as persist.go converts hub state to checkpoint files.
@@ -36,6 +41,168 @@ type walModel struct {
 	Key     string
 	MACs    int64
 	Payload []byte // models.Save bytes
+}
+
+// Appender takes delta entries: a *wal.Log or a *wal.StreamWriter.
+type Appender interface {
+	Append(kind wal.Kind, data []byte) (uint64, error)
+}
+
+// AppendDelta appends one delta batch to dst: every model in state not yet
+// in sent (each marked sent as it is appended), then each session record
+// followed by its decision summary, then the refs manifest — state's
+// manifest with Sessions set to the record count. It does not seal, so the
+// caller can add entries (the journal appends its audit events) before it
+// does.
+func AppendDelta(dst Appender, state *checkpoint.FleetState, sent map[string]struct{}) error {
+	keys := make([]string, 0, len(state.Models))
+	for key := range state.Models {
+		if _, done := sent[key]; !done {
+			keys = append(keys, key)
+		}
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		var payload bytes.Buffer
+		if err := models.Save(&payload, state.Models[key]); err != nil {
+			return fmt.Errorf("serve: delta model %q: %w", key, err)
+		}
+		var buf bytes.Buffer
+		wm := walModel{Key: key, MACs: state.ModelMACs[key], Payload: payload.Bytes()}
+		if err := gob.NewEncoder(&buf).Encode(&wm); err != nil {
+			return fmt.Errorf("serve: delta model %q: %w", key, err)
+		}
+		if _, err := dst.Append(wal.KindModel, buf.Bytes()); err != nil {
+			return err
+		}
+		sent[key] = struct{}{}
+	}
+	var scratch []byte
+	for i := range state.Sessions {
+		rec := &state.Sessions[i]
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
+			return fmt.Errorf("serve: delta session %d: %w", rec.ID, err)
+		}
+		if _, err := dst.Append(wal.KindSession, buf.Bytes()); err != nil {
+			return err
+		}
+		scratch = wal.EncodeDecision(scratch[:0], wal.Decision{
+			Session: rec.ID, Ver: rec.Ver, Decoded: rec.Decoded, Agreed: rec.Agreed,
+		})
+		if _, err := dst.Append(wal.KindDecision, scratch); err != nil {
+			return err
+		}
+	}
+	man := state.Manifest
+	man.Sessions = len(state.Sessions)
+	var mbuf bytes.Buffer
+	if err := gob.NewEncoder(&mbuf).Encode(&man); err != nil {
+		return fmt.Errorf("serve: delta refs: %w", err)
+	}
+	_, err := dst.Append(wal.KindRefs, mbuf.Bytes())
+	return err
+}
+
+// Delta is a run of sealed delta entries decoded for folding: one stream
+// batch, or every WAL entry past a checkpoint's fence.
+type Delta struct {
+	// Records holds the latest record per session, in the order each
+	// session first appeared.
+	Records []checkpoint.SessionRecord
+	// Models and MACs hold the models the entries carried.
+	Models map[string]models.Classifier
+	MACs   map[string]int64
+	// Refs is the last refs manifest seen, nil before one.
+	Refs *checkpoint.Manifest
+	// Entries counts every entry added, audit and decision history included.
+	Entries int
+
+	index map[uint64]int // session ID → position in Records
+}
+
+// Add decodes one sealed entry into d. Audit and decision entries are
+// history, not state: they are counted and skipped. Errors wrap
+// checkpoint.ErrCorrupt.
+func (d *Delta) Add(e wal.Entry) error {
+	switch e.Kind {
+	case wal.KindSession:
+		var rec checkpoint.SessionRecord
+		if err := gob.NewDecoder(bytes.NewReader(e.Data)).Decode(&rec); err != nil {
+			return fmt.Errorf("%w: wal entry %d: session record: %v", checkpoint.ErrCorrupt, e.Seq, err)
+		}
+		if i, ok := d.index[rec.ID]; ok {
+			d.Records[i] = rec
+		} else {
+			if d.index == nil {
+				d.index = make(map[uint64]int)
+			}
+			d.index[rec.ID] = len(d.Records)
+			d.Records = append(d.Records, rec)
+		}
+	case wal.KindRefs:
+		var man checkpoint.Manifest
+		if err := gob.NewDecoder(bytes.NewReader(e.Data)).Decode(&man); err != nil {
+			return fmt.Errorf("%w: wal entry %d: refs manifest: %v", checkpoint.ErrCorrupt, e.Seq, err)
+		}
+		if man.Hub.Shards < 1 || man.Hub.MaxSessionsPerShard < 1 || man.Hub.TickHz <= 0 {
+			return fmt.Errorf("%w: wal entry %d: refs manifest hub config %+v", checkpoint.ErrCorrupt, e.Seq, man.Hub)
+		}
+		d.Refs = &man
+	case wal.KindModel:
+		var wm walModel
+		if err := gob.NewDecoder(bytes.NewReader(e.Data)).Decode(&wm); err != nil {
+			return fmt.Errorf("%w: wal entry %d: model: %v", checkpoint.ErrCorrupt, e.Seq, err)
+		}
+		clf, err := models.Load(bytes.NewReader(wm.Payload))
+		if err != nil {
+			return fmt.Errorf("%w: wal model %q: %v", checkpoint.ErrCorrupt, wm.Key, err)
+		}
+		if d.Models == nil {
+			d.Models = make(map[string]models.Classifier)
+			d.MACs = make(map[string]int64)
+		}
+		d.Models[wm.Key] = clf
+		d.MACs[wm.Key] = wm.MACs
+	case wal.KindAudit, wal.KindDecision:
+		// History, not state.
+	default:
+		return fmt.Errorf("%w: wal entry %d: unknown kind %d", checkpoint.ErrCorrupt, e.Seq, e.Kind)
+	}
+	d.Entries++
+	return nil
+}
+
+// DecodeDelta decodes the entries of one verified stream batch.
+func DecodeDelta(entries []wal.Entry) (*Delta, error) {
+	var d Delta
+	for _, e := range entries {
+		if err := d.Add(e); err != nil {
+			return nil, err
+		}
+	}
+	return &d, nil
+}
+
+// FoldInto applies d to a session image: the image gains the models it
+// lacks, each record replaces its session's, and the last refs view, when
+// d has one, prunes departed sessions and overlays the volatile scheduler
+// fields (checkpoint.FoldRefs). On error the image is partly folded and
+// must be discarded.
+func (d *Delta) FoldInto(sessions map[uint64]checkpoint.SessionRecord, clfs map[string]models.Classifier, macs map[string]int64) error {
+	for key, clf := range d.Models {
+		if _, ok := clfs[key]; !ok {
+			clfs[key] = clf
+			macs[key] = d.MACs[key]
+		}
+	}
+	for _, rec := range d.Records {
+		sessions[rec.ID] = rec
+	}
+	if d.Refs == nil {
+		return nil
+	}
+	return checkpoint.FoldRefs(sessions, d.Refs.Refs)
 }
 
 // Journal couples a Hub to a wal.Log. All methods are safe for concurrent
@@ -108,54 +275,10 @@ func (j *Journal) flushLocked() (root [wal.HashSize]byte, last uint64, err error
 		return root, j.log.LastSealed(), nil
 	}
 
-	keys := make([]string, 0, len(delta.Models))
-	for key := range delta.Models {
-		if _, done := j.sent[key]; !done {
-			keys = append(keys, key)
-		}
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		var payload bytes.Buffer
-		if err := models.Save(&payload, delta.Models[key]); err != nil {
-			return root, 0, fmt.Errorf("serve: journal model %q: %w", key, err)
-		}
-		var buf bytes.Buffer
-		wm := walModel{Key: key, MACs: delta.ModelMACs[key], Payload: payload.Bytes()}
-		if err := gob.NewEncoder(&buf).Encode(&wm); err != nil {
-			return root, 0, fmt.Errorf("serve: journal model %q: %w", key, err)
-		}
-		if _, err := j.log.Append(wal.KindModel, buf.Bytes()); err != nil {
-			return root, 0, err
-		}
-		j.sent[key] = struct{}{}
-	}
-	var scratch []byte
-	for i := range delta.Sessions {
-		rec := &delta.Sessions[i]
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-			return root, 0, fmt.Errorf("serve: journal session %d: %w", rec.ID, err)
-		}
-		if _, err := j.log.Append(wal.KindSession, buf.Bytes()); err != nil {
-			return root, 0, err
-		}
-		scratch = wal.EncodeDecision(scratch[:0], wal.Decision{
-			Session: rec.ID, Ver: rec.Ver, Decoded: rec.Decoded, Agreed: rec.Agreed,
-		})
-		if _, err := j.log.Append(wal.KindDecision, scratch); err != nil {
-			return root, 0, err
-		}
-	}
-	man := delta.Manifest
-	man.Sessions = len(delta.Sessions)
-	var mbuf bytes.Buffer
-	if err := gob.NewEncoder(&mbuf).Encode(&man); err != nil {
-		return root, 0, fmt.Errorf("serve: journal refs: %w", err)
-	}
-	if _, err := j.log.Append(wal.KindRefs, mbuf.Bytes()); err != nil {
+	if err := AppendDelta(j.log, delta, j.sent); err != nil {
 		return root, 0, err
 	}
+	var scratch []byte
 	maxEv := j.lastAudit
 	for _, ev := range j.events {
 		if ev.Seq <= j.lastAudit {
@@ -255,40 +378,12 @@ func ReplayWAL(dir string, base *checkpoint.FleetState) (*checkpoint.FleetState,
 	if base != nil {
 		fence = base.Manifest.WalSeq
 	}
-	recs := make(map[uint64]checkpoint.SessionRecord)
-	newModels := make(map[string]walModel)
-	var lastMan *checkpoint.Manifest
-	applied := 0
+	var d Delta
 	err := wal.Dump(dir, func(e wal.Entry) error {
 		if !e.Sealed || e.Seq <= fence {
 			return nil
 		}
-		switch e.Kind {
-		case wal.KindSession:
-			var rec checkpoint.SessionRecord
-			if err := gob.NewDecoder(bytes.NewReader(e.Data)).Decode(&rec); err != nil {
-				return fmt.Errorf("%w: wal entry %d: session record: %v", checkpoint.ErrCorrupt, e.Seq, err)
-			}
-			recs[rec.ID] = rec
-		case wal.KindRefs:
-			var man checkpoint.Manifest
-			if err := gob.NewDecoder(bytes.NewReader(e.Data)).Decode(&man); err != nil {
-				return fmt.Errorf("%w: wal entry %d: refs manifest: %v", checkpoint.ErrCorrupt, e.Seq, err)
-			}
-			lastMan = &man
-		case wal.KindModel:
-			var wm walModel
-			if err := gob.NewDecoder(bytes.NewReader(e.Data)).Decode(&wm); err != nil {
-				return fmt.Errorf("%w: wal entry %d: model: %v", checkpoint.ErrCorrupt, e.Seq, err)
-			}
-			newModels[wm.Key] = wm
-		case wal.KindAudit, wal.KindDecision:
-			// History, not state.
-		default:
-			return fmt.Errorf("%w: wal entry %d: unknown kind %d", checkpoint.ErrCorrupt, e.Seq, e.Kind)
-		}
-		applied++
-		return nil
+		return d.Add(e)
 	})
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -296,47 +391,31 @@ func ReplayWAL(dir string, base *checkpoint.FleetState) (*checkpoint.FleetState,
 		}
 		return nil, 0, err
 	}
-	if applied == 0 {
+	if d.Entries == 0 {
 		return base, 0, nil
 	}
 	if base == nil {
-		if lastMan == nil {
+		if d.Refs == nil {
 			return nil, 0, fmt.Errorf("%w: wal replay without a checkpoint base needs a refs entry", checkpoint.ErrCorrupt)
 		}
 		base = &checkpoint.FleetState{
-			Manifest:  *lastMan,
+			Manifest:  *d.Refs,
 			Models:    make(map[string]models.Classifier),
 			ModelMACs: make(map[string]int64),
 		}
 	}
-	for key, wm := range newModels {
-		if _, ok := base.Models[key]; ok {
-			continue
-		}
-		clf, err := models.Load(bytes.NewReader(wm.Payload))
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: wal model %q: %v", checkpoint.ErrCorrupt, key, err)
-		}
-		base.Models[key] = clf
-		base.ModelMACs[key] = wm.MACs
-	}
-	byID := make(map[uint64]checkpoint.SessionRecord, len(base.Sessions)+len(recs))
+	byID := make(map[uint64]checkpoint.SessionRecord, len(base.Sessions)+len(d.Records))
 	for _, rec := range base.Sessions {
 		byID[rec.ID] = rec
 	}
-	for id, rec := range recs {
-		byID[id] = rec
+	// The final refs view is authoritative. A live ref with no record at
+	// its journaled version means the WAL and the checkpoint disagree about
+	// history, which replay must not paper over.
+	if err := d.FoldInto(byID, base.Models, base.ModelMACs); err != nil {
+		return nil, 0, fmt.Errorf("%w: wal replay: %v", checkpoint.ErrCorrupt, err)
 	}
-	if lastMan != nil {
-		// The final refs view is authoritative. A live ref with no record at
-		// its journaled version means the WAL and the checkpoint disagree
-		// about history, which replay must not paper over.
-		if err := checkpoint.FoldRefs(byID, lastMan.Refs); err != nil {
-			return nil, 0, fmt.Errorf("%w: wal replay: %v", checkpoint.ErrCorrupt, err)
-		}
-		if lastMan.NextID > base.Manifest.NextID {
-			base.Manifest.NextID = lastMan.NextID
-		}
+	if d.Refs != nil && d.Refs.NextID > base.Manifest.NextID {
+		base.Manifest.NextID = d.Refs.NextID
 	}
 	out := make([]checkpoint.SessionRecord, 0, len(byID))
 	for _, rec := range byID {
@@ -345,7 +424,7 @@ func ReplayWAL(dir string, base *checkpoint.FleetState) (*checkpoint.FleetState,
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	base.Sessions = out
 	base.Manifest.Sessions = len(out)
-	return base, applied, nil
+	return base, d.Entries, nil
 }
 
 // RestoreHubWal is the WAL-aware resume path: load the newest valid

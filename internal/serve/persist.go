@@ -63,12 +63,12 @@ func (h *Hub) CaptureState() *checkpoint.FleetState {
 }
 
 // CaptureDelta snapshots the hub's dirty state since prev, for the WAL
-// journal and the replication tail. The returned state carries full records
+// journal and replication. The returned state carries full records
 // only for sessions whose signal path advanced since prev (or that prev does
 // not know), the complete live view in Manifest.Refs (so the receiver prunes
 // departures and overlays the volatile scheduler fields), and every resolved
-// model in Models — the journal and checkpoint.TailWriter send each model
-// once, so resending the map costs nothing after the first batch. A nil
+// model in Models — AppendDelta sends each model once per sink, so
+// resending the map costs nothing after the first batch. A nil
 // prev marks everything dirty: the full-resync first batch of a fresh
 // replication connection.
 //
@@ -331,9 +331,17 @@ func RestoreHub(state *checkpoint.FleetState, newSource SourceFactory) (*Hub, er
 // live source: pending samples are prepended, the rolling window and filter
 // delay state are reinstated, and the debounce ring and counters resume. The
 // session's ID is left unset — RestoreHub reinstates the persisted ID, while
-// RestoreSession (migration-in) assigns a fresh local one. On error the
-// source is closed.
+// RestoreSession (migration-in) assigns a fresh local one. A record whose
+// pending samples do not match its channel count is impossible and refused:
+// the window would silently truncate or drop them. On error the source is
+// closed.
 func sessionFromRecord(rec *checkpoint.SessionRecord, clf models.Classifier, src Source) (*session, error) {
+	for j := range rec.Pending {
+		if w := len(rec.Pending[j].Values); w != rec.Channels {
+			closeSource(src)
+			return nil, fmt.Errorf("serve: restore: session %d: pending sample %d has %d values, want %d channels", rec.ID, j, w, rec.Channels)
+		}
+	}
 	if len(rec.Pending) > 0 {
 		pending := make([]stream.Sample, len(rec.Pending))
 		for j, smp := range rec.Pending {
@@ -418,13 +426,14 @@ func (s *shard) extractSession(id SessionID) (*checkpoint.SessionRecord, bool) {
 	return &rec, true
 }
 
-// RestoreSession admits a migrated-in session from its streamed checkpoint
-// record: every piece of signal-path state resumes exactly (rolling window,
-// IIR delay state, debounce ring, counters, pending samples), but the hub
-// assigns a fresh local ID and places the session with its own Placement
-// policy — session IDs and shard assignment are node-local bookkeeping, not
-// migrated identity. The record's ModelKey must already resolve in this hub's
-// registry (the cluster layer registers streamed models first).
+// RestoreSession admits a migrated-in session from its record (received in
+// a migration batch): every piece of signal-path state resumes exactly
+// (rolling window, IIR delay state, debounce ring, counters, pending
+// samples), but the hub assigns a fresh local ID and places the session with
+// its own Placement policy — session IDs and shard assignment are node-local
+// bookkeeping, not migrated identity. The record's ModelKey must already
+// resolve in this hub's registry (the cluster layer registers the batch's
+// models first).
 func (h *Hub) RestoreSession(rec *checkpoint.SessionRecord, src Source) (SessionID, error) {
 	if src == nil {
 		return 0, fmt.Errorf("serve: restore session %d: nil source", rec.ID)

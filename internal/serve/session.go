@@ -162,7 +162,7 @@ type session struct {
 	// ver counts signal-path mutations: it increments exactly when a tick
 	// ingests samples for this session (which is also the only way windows,
 	// filter delay lines, debounce state or decode counters change). The
-	// WAL journal and replication tail resend a session record only when
+	// WAL journal and replication batches resend a session record only when
 	// ver moved — same ID + same ver ⇒ bitwise-identical heavy state.
 	// Scheduler-only fields that drift every tick regardless (sampleAcc,
 	// idleTicks) ride in the refs view instead, so an idle session stays

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 )
 
 // Shared frame I/O for every stream-oriented transport in the system. Two
@@ -14,11 +15,10 @@ import (
 //     readFrame), sized for EEG sample frames and sync probes;
 //
 //   - the exported 4-byte-length message framing (WriteMsg / ReadMsg) used by
-//     the cluster's inter-node links, whose payloads — control messages and
-//     streamed checkpoint state including whole models — outgrow a u16
-//     length. The length is bounded by MaxMsgLen so a corrupted or hostile
-//     prefix cannot ask the reader to allocate gigabytes, mirroring the
-//     record bound of internal/checkpoint.
+//     the cluster's inter-node control messages and acks, which outgrow a
+//     u16 length. The length is bounded by MaxMsgLen, and the reader grows
+//     its buffer only as payload bytes arrive, so a corrupted or hostile
+//     prefix cannot make it allocate more than it was sent.
 
 // MaxMsgLen bounds one framed inter-node message. It matches the checkpoint
 // record bound: model payloads dominate, and 256 MiB is orders of magnitude
@@ -45,8 +45,8 @@ func ReadMsg(r io.Reader) ([]byte, error) {
 }
 
 // ReadMsgBuf is ReadMsg reading the payload into buf when its capacity
-// suffices, allocating (and growing the caller's buffer for next time) only
-// when it does not. Connection loops pass one per-connection buffer so every
+// suffices, growing it (for the caller's next call too) only as payload
+// bytes arrive when it does not. Connection loops pass one per-connection buffer so every
 // inbound frame after the largest-yet stops allocating its payload:
 //
 //	buf := []byte(nil)
@@ -67,16 +67,24 @@ func ReadMsgBuf(r io.Reader, buf []byte) ([]byte, error) {
 	if n > MaxMsgLen {
 		return nil, fmt.Errorf("stream: message length %d exceeds limit", n)
 	}
-	payload := buf
-	if cap(payload) < int(n) {
-		payload = make([]byte, n)
-	}
-	payload = payload[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("stream: torn message: %w", err)
+	// Grow only as bytes arrive: the length comes off the network, and a
+	// forged one must cost no more memory than the bytes actually sent.
+	payload := buf[:0]
+	for len(payload) < int(n) {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, min(max(cap(payload), msgGrowChunk), int(n)-len(payload)))
+		}
+		m, err := io.ReadFull(r, payload[len(payload):min(cap(payload), int(n))])
+		payload = payload[:len(payload)+m]
+		if err != nil {
+			return nil, fmt.Errorf("stream: torn message: %w", err)
+		}
 	}
 	return payload, nil
 }
+
+// msgGrowChunk is the most ReadMsgBuf allocates ahead of received bytes.
+const msgGrowChunk = 64 << 10
 
 // writeFrame sends a length-prefixed data frame (u16 length, the LSL-like
 // transport's wire format). Callers must serialise access.

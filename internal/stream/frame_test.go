@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -48,6 +49,52 @@ func TestMsgRejectsTornPayload(t *testing.T) {
 	if _, err := ReadMsg(bytes.NewReader(torn)); err == nil {
 		t.Fatal("torn message accepted")
 	}
+}
+
+// TestMsgForgedLengthAllocatesReceivedBytes: a header that declares the
+// full MaxMsgLen and is then followed by EOF must cost the reader what it
+// was sent, not the 256 MiB it was promised.
+func TestMsgForgedLengthAllocatesReceivedBytes(t *testing.T) {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], MaxMsgLen)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadMsgBuf(bytes.NewReader(hdr[:]), nil); err == nil {
+		t.Fatal("message torn after its header accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("reading a 4-byte forged header allocated %d bytes, want under 1 MiB", got)
+	}
+}
+
+// FuzzReadMsgBuf: no input panics the reader, and every payload survives a
+// WriteMsg/ReadMsgBuf round trip, with or without a reuse buffer.
+func FuzzReadMsgBuf(f *testing.F) {
+	f.Add([]byte{}, 0)
+	f.Add([]byte("x"), 8)
+	f.Add(bytes.Repeat([]byte{0xAB}, 70000), 16)
+	f.Add([]byte{0xff, 0xff, 0xff, 0x0f, 1, 2, 3}, 0)
+	f.Fuzz(func(t *testing.T, p []byte, bufCap int) {
+		// Arbitrary bytes as a framed stream: must not panic.
+		_, _ = ReadMsgBuf(bytes.NewReader(p), nil)
+
+		var wire bytes.Buffer
+		if err := WriteMsg(&wire, p); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 0, bufCap&0xffff)
+		got, err := ReadMsgBuf(&wire, buf)
+		if err != nil {
+			t.Fatalf("round trip of %d bytes: %v", len(p), err)
+		}
+		if !bytes.Equal(got, p) {
+			t.Fatalf("round trip mangled %d bytes into %d", len(p), len(got))
+		}
+		if wire.Len() != 0 {
+			t.Fatalf("reader left %d bytes of its own message unread", wire.Len())
+		}
+	})
 }
 
 // TestUDPInletDropsMalformed feeds an inlet garbage alongside valid samples

@@ -6,6 +6,7 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -75,117 +76,65 @@ func scanSegmentFull(path string, keep bool) (*segScan, error) {
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return sc, fmt.Errorf("%w: %s: short header", errTorn, name)
 	}
-	if string(hdr[:4]) != walMagic {
-		return sc, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, name)
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != walVersion {
-		return sc, fmt.Errorf("%w: %s: version %d", ErrVersion, name, v)
-	}
-	if k := binary.LittleEndian.Uint16(hdr[6:8]); k != kindSeg {
-		return sc, fmt.Errorf("%w: %s: kind %d", ErrCorrupt, name, k)
+	if err := checkHeader(hdr[:], kindSeg, name); err != nil {
+		return sc, err
 	}
 	sc.headerOK = true
 	off := int64(headerLen)
 	sc.sealedEnd = off
 
 	var (
-		pendLeaves [][HashSize]byte
-		pendFirst  uint64
-		lastEntry  uint64 // last entry seq seen in this segment
+		pend batch
+		buf  []byte
 	)
 	// torn finalizes the scan at a recoverable tear: the pending entry
 	// count must ride along so recovery can report exactly what it drops.
-	torn := func(format string, args ...any) (*segScan, error) {
-		sc.unsealedEntries = len(pendLeaves)
-		return sc, fmt.Errorf("%w: "+format, append([]any{errTorn}, args...)...)
+	torn := func(err error) (*segScan, error) {
+		sc.unsealedEntries = len(pend.leaves)
+		return sc, fmt.Errorf("%w: %s at %d: %v", errTorn, name, off, err)
+	}
+	corrupt := func(err error) (*segScan, error) {
+		return sc, fmt.Errorf("%w: %s at %d: %v", ErrCorrupt, name, off, err)
 	}
 	for {
-		var pre [5]byte
-		b0, err := br.ReadByte()
+		typ, payload, err := readFrame(br, buf)
 		if err == io.EOF {
 			break // clean end at a frame boundary
 		} else if err != nil {
-			return torn("%s at %d: %v", name, off, err)
+			return torn(err)
 		}
-		pre[0] = b0
-		if _, err := io.ReadFull(br, pre[1:]); err != nil {
-			return torn("%s at %d: short length", name, off)
-		}
-		typ := pre[0]
-		plen := binary.LittleEndian.Uint32(pre[1:5])
-		if plen > maxRecordLen {
-			return torn("%s at %d: implausible record length %d", name, off, plen)
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return torn("%s at %d: short payload", name, off)
-		}
-		var crcBuf [4]byte
-		if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-			return torn("%s at %d: short crc", name, off)
-		}
-		crc := crc32.Checksum(pre[:], castagnoli)
-		crc = crc32.Update(crc, castagnoli, payload)
-		if crc != binary.LittleEndian.Uint32(crcBuf[:]) {
-			return torn("%s at %d: crc mismatch", name, off)
-		}
-		frameEnd := off + frameOverhead + int64(plen)
+		buf = payload
+		frameEnd := off + frameOverhead + int64(len(payload))
 
 		switch typ {
 		case recEntry:
-			if len(payload) < entryHdrLen {
-				return sc, fmt.Errorf("%w: %s at %d: entry too short", ErrCorrupt, name, off)
+			seq, err := pend.entry(payload)
+			if err != nil {
+				return corrupt(err)
 			}
-			seq := binary.LittleEndian.Uint64(payload[1:9])
-			if lastEntry != 0 && seq != lastEntry+1 {
-				return sc, fmt.Errorf("%w: %s at %d: entry seq %d after %d", ErrCorrupt, name, off, seq, lastEntry)
-			}
-			lastEntry = seq
-			if len(pendLeaves) == 0 {
-				pendFirst = seq
-			}
-			pendLeaves = append(pendLeaves, HashLeaf(payload))
 			if keep {
-				data := make([]byte, len(payload)-entryHdrLen)
-				copy(data, payload[entryHdrLen:])
 				sc.entries = append(sc.entries, Entry{
-					Seq: seq, Kind: Kind(payload[0]), Data: data, Segment: name,
+					Seq: seq, Kind: Kind(payload[0]), Data: bytes.Clone(payload[entryHdrLen:]), Segment: name,
 				})
 			}
 		case recSeal:
-			if len(payload) != sealPayLen {
-				return sc, fmt.Errorf("%w: %s at %d: seal size %d", ErrCorrupt, name, off, len(payload))
+			root, first, last, count, err := pend.verify(payload)
+			if err != nil {
+				return corrupt(err)
 			}
-			first := binary.LittleEndian.Uint64(payload[0:8])
-			last := binary.LittleEndian.Uint64(payload[8:16])
-			count := binary.LittleEndian.Uint32(payload[16:20])
-			if int(count) != len(pendLeaves) || len(pendLeaves) == 0 ||
-				first != pendFirst || last != lastEntry {
-				return sc, fmt.Errorf("%w: %s at %d: seal [%d,%d]x%d does not match pending entries [%d,%d]x%d",
-					ErrCorrupt, name, off, first, last, count, pendFirst, lastEntry, len(pendLeaves))
-			}
-			want := Root(pendLeaves)
-			var got [HashSize]byte
-			copy(got[:], payload[20:])
-			if got != want {
-				return sc, fmt.Errorf("%w: %s at %d: merkle root mismatch for batch [%d,%d] (stored %s, computed %s)",
-					ErrCorrupt, name, off, first, last, hexRoot(got), hexRoot(want))
-			}
-			sc.roots = append(sc.roots, got)
+			sc.roots = append(sc.roots, root)
 			if sc.firstSealed == 0 {
 				sc.firstSealed = first
 			}
 			sc.sealedLast = last
-			sc.sealedEntries += int(count)
+			sc.sealedEntries += count
 			sc.sealedEnd = frameEnd
-			pendLeaves = pendLeaves[:0]
-			pendFirst = 0
 		case recFooter:
 			if len(payload) != footerPayLen {
-				return sc, fmt.Errorf("%w: %s at %d: footer size %d", ErrCorrupt, name, off, len(payload))
+				return corrupt(fmt.Errorf("footer size %d", len(payload)))
 			}
-			if len(pendLeaves) != 0 {
-				return sc, fmt.Errorf("%w: %s at %d: footer over unsealed entries", ErrCorrupt, name, off)
+			if len(pend.leaves) != 0 {
+				return corrupt(errors.New("footer over unsealed entries"))
 			}
 			batches := binary.LittleEndian.Uint32(payload[0:4])
 			first := binary.LittleEndian.Uint64(payload[4:12])
@@ -193,12 +142,12 @@ func scanSegmentFull(path string, keep bool) (*segScan, error) {
 			var got [HashSize]byte
 			copy(got[:], payload[20:])
 			if int(batches) != len(sc.roots) || first != sc.firstSealed || last != sc.sealedLast {
-				return sc, fmt.Errorf("%w: %s at %d: footer [%d,%d]x%d does not match seals [%d,%d]x%d",
-					ErrCorrupt, name, off, first, last, batches, sc.firstSealed, sc.sealedLast, len(sc.roots))
+				return corrupt(fmt.Errorf("footer [%d,%d]x%d does not match seals [%d,%d]x%d",
+					first, last, batches, sc.firstSealed, sc.sealedLast, len(sc.roots)))
 			}
 			if want := Root(sc.roots); got != want {
-				return sc, fmt.Errorf("%w: %s at %d: segment merkle root mismatch (stored %s, computed %s)",
-					ErrCorrupt, name, off, hexRoot(got), hexRoot(want))
+				return corrupt(fmt.Errorf("segment merkle root mismatch (stored %s, computed %s)",
+					hexRoot(got), hexRoot(want)))
 			}
 			sc.footer = true
 			sc.sealedEnd = frameEnd
@@ -207,11 +156,11 @@ func scanSegmentFull(path string, keep bool) (*segScan, error) {
 			}
 			return sc, nil
 		default:
-			return sc, fmt.Errorf("%w: %s at %d: unknown record type %d", ErrCorrupt, name, off, typ)
+			return corrupt(fmt.Errorf("unknown record type %d", typ))
 		}
 		off = frameEnd
 	}
-	sc.unsealedEntries = len(pendLeaves)
+	sc.unsealedEntries = len(pend.leaves)
 	return sc, nil
 }
 

@@ -3,15 +3,18 @@
 // proofs. Shard ticks journal dirty session records (and the audit stream of
 // admissions, refusals, migrations, reaps, failovers, and prediction
 // decisions) into it; each full checkpoint fences it and truncates the
-// segments it covers; warm standbys tail it carrying batch roots so a
-// follower can detect divergence before promotion.
+// segments it covers. The same entry frames and batch seals are also the
+// one wire format for deltas between nodes: replication batches and
+// migrations travel as a WAL stream (StreamWriter, StreamReader), and the
+// receiver verifies every batch's Merkle root before applying it. Standbys
+// receive those streamed batches; they do not read the on-disk segments.
 //
 // # On-disk format (normative; mirrored in ARCHITECTURE.md)
 //
 // A WAL directory holds numbered segment files, wal-<seq>.seg. Each begins
 // with an 8-byte header:
 //
-//	magic "CAWL" | version uint16 LE | kind uint16 LE (1 = segment)
+//	magic "CAWL" | version uint16 LE | kind uint16 LE (1 = segment, 2 = stream)
 //
 // followed by records framed exactly like checkpoint files:
 //
@@ -36,6 +39,10 @@
 // Every frame is issued as a single Write call, so a crash (or a faultnet
 // byte-budgeted cut) tears at most one frame and recovery can classify the
 // tear by the byte it lands on.
+//
+// A stream (kind 2) is a header followed by batches — entry frames closed by
+// one seal frame — with no footer. Its entries are numbered from 1 per
+// stream; see stream.go.
 //
 // # Durability and recovery
 //
@@ -71,10 +78,10 @@ import (
 // Sentinel errors, comparable with errors.Is.
 var (
 	// ErrCorrupt marks a structurally damaged segment outside the
-	// recoverable torn tail: bad magic, a CRC mismatch before the last
-	// seal, a tear in a non-final segment, or a Merkle root that does not
-	// match its entries.
-	ErrCorrupt = errors.New("wal: corrupt segment")
+	// recoverable torn tail (bad magic, a CRC mismatch before the last
+	// seal, a tear in a non-final segment, a Merkle root that does not
+	// match its entries) or a stream batch that is not whole and verified.
+	ErrCorrupt = errors.New("wal: corrupt")
 	// ErrVersion marks a segment written by an incompatible format version.
 	ErrVersion = errors.New("wal: unsupported version")
 	// ErrClosed is returned by operations on a closed log.
@@ -110,14 +117,16 @@ const (
 	walMagic   = "CAWL"
 	walVersion = 1
 	kindSeg    = 1
+	kindStream = 2
 	headerLen  = 8
 
 	recEntry  = byte(1)
 	recSeal   = byte(2)
 	recFooter = byte(3)
 
-	frameOverhead = 1 + 4 + 4 // type + length + crc
-	entryHdrLen   = 1 + 8     // kind + seq
+	frameHdrLen   = 1 + 4           // type + length
+	frameOverhead = frameHdrLen + 4 // + crc
+	entryHdrLen   = 1 + 8           // kind + seq
 	sealPayLen    = 8 + 8 + 4 + HashSize
 	footerPayLen  = 4 + 8 + 8 + HashSize
 
@@ -216,9 +225,7 @@ type Log struct {
 	segFirst, segLast uint64           // entry seqs in the active segment
 	roots             [][HashSize]byte // sealed batch roots of the active segment
 
-	leaves    [][HashSize]byte // pending (unsealed) leaf hashes
-	pendFirst uint64
-	pendBytes int64
+	pend      batch     // pending (unsealed) entries
 	nextSeq   uint64    // next entry sequence number
 	sealedSeq uint64    // last sealed entry sequence number
 	sealed    []segMeta // finalized (footered) segments, oldest first
@@ -368,15 +375,11 @@ func (l *Log) openSegment(seq uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
-	var hdr [headerLen]byte
-	copy(hdr[:4], walMagic)
-	binary.LittleEndian.PutUint16(hdr[4:6], walVersion)
-	binary.LittleEndian.PutUint16(hdr[6:8], kindSeg)
 	w := io.Writer(f)
 	if l.opts.wrap != nil {
 		w = l.opts.wrap(f)
 	}
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(appendHeader(nil, kindSeg)); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: segment header: %w", err)
 	}
@@ -388,21 +391,6 @@ func (l *Log) openSegment(seq uint64) error {
 	l.segFirst, l.segLast = 0, 0
 	l.roots = l.roots[:0]
 	return nil
-}
-
-// buildFrame assembles one framed record into l.frame and returns it.
-func (l *Log) buildFrame(typ byte, payload []byte) []byte {
-	need := frameOverhead + len(payload)
-	if cap(l.frame) < need {
-		l.frame = make([]byte, need)
-	}
-	b := l.frame[:need]
-	b[0] = typ
-	binary.LittleEndian.PutUint32(b[1:5], uint32(len(payload)))
-	copy(b[5:], payload)
-	crc := crc32.Checksum(b[:5+len(payload)], castagnoli)
-	binary.LittleEndian.PutUint32(b[5+len(payload):], crc)
-	return b
 }
 
 // Append journals one entry and returns its sequence number. The entry is
@@ -419,19 +407,15 @@ func (l *Log) appendLocked(kind Kind, data []byte) (uint64, error) {
 	if err := l.usable(); err != nil {
 		return 0, err
 	}
-	payload := make([]byte, entryHdrLen+len(data))
-	payload[0] = byte(kind)
 	seq := l.nextSeq
-	binary.LittleEndian.PutUint64(payload[1:9], seq)
-	copy(payload[entryHdrLen:], data)
-
-	frameLen := int64(frameOverhead + len(payload))
+	frameLen := int64(frameOverhead + entryHdrLen + len(data))
 	if l.segSize+frameLen > l.opts.SegmentBytes && l.segLast != 0 {
 		if err := l.rotateLocked(); err != nil {
 			return 0, err
 		}
 	}
-	frame := l.buildFrame(recEntry, payload)
+	frame, payload := appendEntry(l.frame[:0], kind, seq, data)
+	l.frame = frame
 	if err := l.writeAll(frame); err != nil {
 		return 0, err
 	}
@@ -440,11 +424,7 @@ func (l *Log) appendLocked(kind Kind, data []byte) (uint64, error) {
 		l.segFirst = seq
 	}
 	l.segLast = seq
-	if len(l.leaves) == 0 {
-		l.pendFirst = seq
-	}
-	l.leaves = append(l.leaves, HashLeaf(payload))
-	l.pendBytes += int64(len(payload))
+	l.pend.add(seq, payload)
 	l.nextSeq = seq + 1
 
 	t := walTel()
@@ -452,7 +432,7 @@ func (l *Log) appendLocked(kind Kind, data []byte) (uint64, error) {
 	t.bytes.Add(uint64(frameLen))
 	t.activeBytes.Set(float64(l.activeBytesLocked()))
 
-	if len(l.leaves) >= l.opts.BatchEntries || l.pendBytes >= l.opts.BatchBytes {
+	if len(l.pend.leaves) >= l.opts.BatchEntries || l.pend.bytes >= l.opts.BatchBytes {
 		if _, _, _, err := l.sealLocked(); err != nil {
 			return 0, err
 		}
@@ -496,30 +476,21 @@ func (l *Log) Seal() (root [HashSize]byte, first, last uint64, err error) {
 }
 
 func (l *Log) sealLocked() (root [HashSize]byte, first, last uint64, err error) {
-	if len(l.leaves) == 0 {
+	if len(l.pend.leaves) == 0 {
 		return root, 0, 0, nil
 	}
 	start := time.Now()
-	root = Root(l.leaves)
-	first, last = l.pendFirst, l.segLast
-	var pay [sealPayLen]byte
-	binary.LittleEndian.PutUint64(pay[0:8], first)
-	binary.LittleEndian.PutUint64(pay[8:16], last)
-	binary.LittleEndian.PutUint32(pay[16:20], uint32(len(l.leaves)))
-	copy(pay[20:], root[:])
-	frame := l.buildFrame(recSeal, pay[:])
-	if err := l.writeAll(frame); err != nil {
+	pay, root, first, last := l.pend.seal()
+	l.frame = appendFrame(l.frame[:0], recSeal, pay[:])
+	if err := l.writeAll(l.frame); err != nil {
 		return root, 0, 0, err
 	}
-	l.segSize += int64(len(frame))
+	l.segSize += int64(len(l.frame))
 	if err := l.syncLocked(); err != nil {
 		return root, 0, 0, err
 	}
 	l.roots = append(l.roots, root)
 	l.sealedSeq = last
-	l.leaves = l.leaves[:0]
-	l.pendBytes = 0
-	l.pendFirst = 0
 
 	t := walTel()
 	t.seals.Inc()
@@ -562,18 +533,7 @@ func (l *Log) rotateLocked() error {
 	if l.segLast == 0 && len(l.roots) == 0 {
 		return nil // empty segment: nothing to finalize
 	}
-	segRoot := Root(l.roots)
-	var pay [footerPayLen]byte
-	binary.LittleEndian.PutUint32(pay[0:4], uint32(len(l.roots)))
-	binary.LittleEndian.PutUint64(pay[4:12], l.segFirst)
-	binary.LittleEndian.PutUint64(pay[12:20], l.segLast)
-	copy(pay[20:], segRoot[:])
-	frame := l.buildFrame(recFooter, pay[:])
-	if err := l.writeAll(frame); err != nil {
-		return err
-	}
-	l.segSize += int64(len(frame))
-	if err := l.syncLocked(); err != nil {
+	if err := l.footerLocked(); err != nil {
 		return err
 	}
 	if err := l.f.Close(); err != nil {
@@ -654,22 +614,29 @@ func (l *Log) closeLocked() error {
 		return err
 	}
 	if l.segLast != 0 || len(l.roots) > 0 {
-		segRoot := Root(l.roots)
-		var pay [footerPayLen]byte
-		binary.LittleEndian.PutUint32(pay[0:4], uint32(len(l.roots)))
-		binary.LittleEndian.PutUint64(pay[4:12], l.segFirst)
-		binary.LittleEndian.PutUint64(pay[12:20], l.segLast)
-		copy(pay[20:], segRoot[:])
-		if err := l.writeAll(l.buildFrame(recFooter, pay[:])); err != nil {
-			l.f.Close()
-			return err
-		}
-		if err := l.syncLocked(); err != nil {
+		if err := l.footerLocked(); err != nil {
 			l.f.Close()
 			return err
 		}
 	}
 	return l.f.Close()
+}
+
+// footerLocked finalizes the active segment: writes its footer (Merkle root
+// over the batch roots) and fsyncs it.
+func (l *Log) footerLocked() error {
+	segRoot := Root(l.roots)
+	var pay [footerPayLen]byte
+	binary.LittleEndian.PutUint32(pay[0:4], uint32(len(l.roots)))
+	binary.LittleEndian.PutUint64(pay[4:12], l.segFirst)
+	binary.LittleEndian.PutUint64(pay[12:20], l.segLast)
+	copy(pay[20:], segRoot[:])
+	l.frame = appendFrame(l.frame[:0], recFooter, pay[:])
+	if err := l.writeAll(l.frame); err != nil {
+		return err
+	}
+	l.segSize += int64(len(l.frame))
+	return l.syncLocked()
 }
 
 // Status is a point-in-time snapshot for /statusz.
@@ -696,7 +663,7 @@ func (l *Log) Status() Status {
 		ActiveBytes:    l.activeBytesLocked(),
 		NextSeq:        l.nextSeq,
 		SealedSeq:      l.sealedSeq,
-		PendingEntries: len(l.leaves),
+		PendingEntries: len(l.pend.leaves),
 		Batches:        len(l.roots),
 		TruncatedBytes: l.recovered.TruncatedBytes,
 		DroppedEntries: l.recovered.DroppedEntries,
